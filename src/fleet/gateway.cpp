@@ -1,75 +1,36 @@
 #include "fleet/gateway.hpp"
 
-#include <errno.h>
-#include <string.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <map>
 #include <mutex>
-#include <unordered_map>
-#include <unordered_set>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "fleet/ring.hpp"
 #include "net/client.hpp"
+#include "net/frame_server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppuf::fleet {
 
 namespace {
 
-using net::DecodeResult;
+using net::error_frame;
 using net::Frame;
 using net::MessageType;
 using net::WireCode;
 using util::Status;
 
-constexpr std::size_t kReadChunk = 64 * 1024;
 /// Idle backend sockets kept per shard; beyond this, checkin closes.
 constexpr std::size_t kMaxIdlePerShard = 8;
 
-std::vector<std::uint8_t> error_frame(std::uint64_t request_id,
-                                      std::uint64_t device_id, WireCode code,
-                                      std::string message) {
-  net::ErrorReply err;
-  err.code = code;
-  err.message = std::move(message);
-  return net::encode_frame(MessageType::kErrorReply, request_id, device_id,
-                           0, net::encode_error_reply(err));
-}
-
-/// Remaining budget as a wire header field (same rounding contract as the
-/// client: sub-millisecond remainders round up to 1 so "expired" can never
-/// be confused with "unlimited").
-std::uint32_t budget_ms_for(const util::Deadline& deadline) {
-  if (deadline.is_unlimited()) return 0;
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline.remaining());
-  const auto ms = std::max<std::chrono::milliseconds::rep>(1, left.count());
-  return static_cast<std::uint32_t>(
-      std::min<std::chrono::milliseconds::rep>(ms, 0xffffffffu));
-}
-
 }  // namespace
-
-/// RAII fds for epoll/eventfd (see server/auth_server.cpp for ordering
-/// notes — they must outlive the worker pool).
-struct OwnedFd {
-  int fd = -1;
-  ~OwnedFd() {
-    if (fd >= 0) ::close(fd);
-  }
-};
 
 /// One backend shard.  The endpoint is immutable: re-pointing a name at a
 /// new host (failover promotion) REPLACES the Shard object in the table,
@@ -130,41 +91,17 @@ struct GatewayShard {
   }
 };
 
-struct Gateway::Impl {
+/// The gateway's handler on the shared reactor: routing, pins,
+/// forwarding, admin, and the health prober.
+struct Gateway::Impl final : net::FrameServer::Handler {
   Impl(const GatewayOptions& options, std::atomic<bool>& draining)
-      : options(options), draining(draining), pool(options.threads) {}
+      : options(options),
+        draining(draining),
+        reactor(*this, "gateway", "gateway in-flight limit reached",
+                net::FrameServer::limits_of(options), draining) {}
 
   GatewayOptions options;
   std::atomic<bool>& draining;
-
-  net::Socket listener;
-  OwnedFd epoll_handle;
-  OwnedFd wake_handle;
-  int epoll_fd = -1;
-  int wake_fd = -1;
-
-  struct Connection {
-    std::uint64_t id = 0;
-    int fd = -1;
-    std::vector<std::uint8_t> inbuf;
-    std::deque<std::vector<std::uint8_t>> outq;
-    std::size_t out_offset = 0;
-    std::size_t outq_bytes = 0;
-    bool close_after_flush = false;
-    bool want_write = false;
-  };
-
-  std::unordered_map<int, Connection> connections;
-  std::unordered_map<std::uint64_t, int> connection_fd;
-  std::uint64_t next_connection_id = 1;
-  std::unordered_set<int> closed_in_batch;
-
-  struct Completion {
-    std::uint64_t connection_id;
-    std::vector<std::uint8_t> bytes;
-  };
-  std::mutex completion_mutex;
-  std::vector<Completion> completions;
 
   // --- fleet state --------------------------------------------------------
   //
@@ -179,56 +116,35 @@ struct Gateway::Impl {
   /// connection close.  Ordered so a connection's pins are a range.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::string> pins;
 
-  std::atomic<std::size_t> inflight{0};
-
-  // Stats.
-  std::atomic<std::uint64_t> connections_accepted{0};
+  // Stats.  The transport counters live in the reactor.
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> forwarded{0};
   std::atomic<std::uint64_t> redirects_sent{0};
   std::atomic<std::uint64_t> unavailable_rejections{0};
-  std::atomic<std::uint64_t> overloaded_rejections{0};
-  std::atomic<std::uint64_t> shutdown_rejections{0};
-  std::atomic<std::uint64_t> malformed_frames{0};
   std::atomic<std::uint64_t> admin_requests{0};
   std::atomic<std::uint64_t> pins_created{0};
   std::atomic<std::uint64_t> health_probes{0};
   std::atomic<std::uint64_t> dropped_inflight{0};
 
-  /// Declared last: destroyed first, joining workers that may still write
-  /// wake_fd.
-  util::ThreadPool pool;
+  /// Declared last: destroyed first, joining workers that are still
+  /// forwarding against the members above.
+  net::FrameServer reactor;
 
-  // --- event loop ---------------------------------------------------------
-  void run();
-  void accept_ready();
-  void read_ready(int fd);
-  void consume_frames(int fd);
-  void dispatch(Connection& conn, Frame frame);
-  void enqueue_reply(Connection& conn, std::vector<std::uint8_t> bytes);
-  void flush(Connection& conn);
-  void update_epoll(Connection& conn);
-  void close_connection(int fd);
-  void drain_completions();
-  bool drained();
-
-  std::vector<std::uint8_t> handle_admin(const Frame& frame);
-  net::HealthInfo health_info() const {
-    net::HealthInfo h;
-    h.inflight = static_cast<std::uint32_t>(
-        inflight.load(std::memory_order_relaxed));
-    h.max_inflight = static_cast<std::uint32_t>(options.max_inflight);
-    h.draining = draining.load(std::memory_order_relaxed) ? 1 : 0;
+  // --- reactor hooks (event-loop thread) ----------------------------------
+  std::vector<std::uint8_t> answer_inline(const Frame& frame) override;
+  std::vector<std::uint8_t> dispatch(std::uint64_t connection_id,
+                                     Frame frame) override;
+  /// Sweeps the connection's pins: its chained-auth sessions died with it.
+  void on_close(std::uint64_t connection_id) override;
+  net::HealthInfo health_info() const override {
+    net::HealthInfo h = reactor.transport_health();
     h.requests_served = requests.load(std::memory_order_relaxed);
-    h.connections_accepted =
-        connections_accepted.load(std::memory_order_relaxed);
     return h;
   }
 
+  std::vector<std::uint8_t> handle_admin(const Frame& frame);
+
   // --- worker side --------------------------------------------------------
-  void submit_forward(std::uint64_t connection_id,
-                      std::shared_ptr<GatewayShard> shard, Frame frame,
-                      const util::Deadline& deadline);
   std::vector<std::uint8_t> forward(GatewayShard& shard, const Frame& frame,
                                     const util::Deadline& deadline);
 
@@ -258,31 +174,8 @@ util::Status Gateway::add_shard(const std::string& name,
 util::Status Gateway::start() {
   if (running_.load(std::memory_order_acquire))
     return Status::invalid_argument("gateway already started");
-
-  if (Status s = net::listen_tcp(options_.port, options_.listen_backlog,
-                                 &impl_->listener, &port_);
-      !s.is_ok())
-    return s;
-
-  impl_->epoll_handle.fd = epoll_create1(EPOLL_CLOEXEC);
-  impl_->epoll_fd = impl_->epoll_handle.fd;
-  if (impl_->epoll_fd < 0)
-    return Status::unavailable(std::string("epoll_create1: ") +
-                               strerror(errno));
-  impl_->wake_handle.fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  impl_->wake_fd = impl_->wake_handle.fd;
-  if (impl_->wake_fd < 0)
-    return Status::unavailable(std::string("eventfd: ") + strerror(errno));
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = impl_->listener.fd();
-  epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listener.fd(), &ev);
-  ev.data.fd = impl_->wake_fd;
-  epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->wake_fd, &ev);
-
+  if (Status s = impl_->reactor.start(&port_); !s.is_ok()) return s;
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { impl_->run(); });
   health_thread_ = std::thread([this] { impl_->health_loop(); });
   return Status::ok();
 }
@@ -290,12 +183,11 @@ util::Status Gateway::start() {
 void Gateway::request_drain() {
   if (impl_ == nullptr) return;
   draining_.store(true, std::memory_order_relaxed);
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t rc = ::write(impl_->wake_fd, &one, sizeof(one));
+  impl_->reactor.wake();
 }
 
 void Gateway::wait() {
-  if (loop_thread_.joinable()) loop_thread_.join();
+  if (impl_ != nullptr) impl_->reactor.wait();
   if (health_thread_.joinable()) health_thread_.join();
   running_.store(false, std::memory_order_release);
 }
@@ -308,244 +200,68 @@ void Gateway::stop() {
 Gateway::Stats Gateway::stats() const {
   Stats s;
   if (impl_ == nullptr) return s;
-  s.connections_accepted =
-      impl_->connections_accepted.load(std::memory_order_relaxed);
+  const net::FrameServer::Stats t = impl_->reactor.stats();
+  s.connections_accepted = t.connections_accepted;
   s.requests = impl_->requests.load(std::memory_order_relaxed);
   s.forwarded = impl_->forwarded.load(std::memory_order_relaxed);
   s.redirects_sent = impl_->redirects_sent.load(std::memory_order_relaxed);
   s.unavailable_rejections =
       impl_->unavailable_rejections.load(std::memory_order_relaxed);
-  s.overloaded_rejections =
-      impl_->overloaded_rejections.load(std::memory_order_relaxed);
-  s.shutdown_rejections =
-      impl_->shutdown_rejections.load(std::memory_order_relaxed);
-  s.malformed_frames =
-      impl_->malformed_frames.load(std::memory_order_relaxed);
+  s.overloaded_rejections = t.overloaded_rejections;
+  s.shutdown_rejections = t.shutdown_rejections;
+  s.malformed_frames = t.malformed_frames;
   s.admin_requests = impl_->admin_requests.load(std::memory_order_relaxed);
   s.pins_created = impl_->pins_created.load(std::memory_order_relaxed);
   s.health_probes = impl_->health_probes.load(std::memory_order_relaxed);
   s.dropped_inflight =
       impl_->dropped_inflight.load(std::memory_order_relaxed);
+  s.slow_peer_disconnects = t.slow_peer_disconnects;
   return s;
 }
 
-// --- event loop -------------------------------------------------------------
+// --- dispatch (event loop) -------------------------------------------------
 
-void Gateway::Impl::run() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  bool listener_open = true;
-  std::vector<epoll_event> events(64);
-  for (;;) {
-    const bool drain_now = draining.load(std::memory_order_relaxed);
-    if (drain_now && listener_open) {
-      epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listener.fd(), nullptr);
-      listener.close();
-      listener_open = false;
-    }
-    if (drain_now && drained()) break;
-
-    const int n = epoll_wait(epoll_fd, events.data(),
-                             static_cast<int>(events.size()),
-                             drain_now ? 50 : 500);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    closed_in_batch.clear();
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_fd) {
-        std::uint64_t drainv = 0;
-        while (::read(wake_fd, &drainv, sizeof(drainv)) > 0) {
-        }
-        continue;
-      }
-      if (listener_open && fd == listener.fd()) {
-        accept_ready();
-        continue;
-      }
-      if (closed_in_batch.count(fd) != 0) continue;
-      auto it = connections.find(fd);
-      if (it == connections.end()) continue;
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        close_connection(fd);
-        continue;
-      }
-      if (events[i].events & EPOLLIN) read_ready(fd);
-      auto wit = connections.find(fd);
-      if (wit != connections.end() && (events[i].events & EPOLLOUT))
-        flush(wit->second);
-    }
-    drain_completions();
-    reg.gauge("gateway.inflight")
-        .set(static_cast<std::int64_t>(
-            inflight.load(std::memory_order_relaxed)));
-    reg.gauge("gateway.connections")
-        .set(static_cast<std::int64_t>(connections.size()));
-  }
-  std::vector<int> fds;
-  fds.reserve(connections.size());
-  for (const auto& [fd, conn] : connections) fds.push_back(fd);
-  for (const int fd : fds) close_connection(fd);
-}
-
-bool Gateway::Impl::drained() {
-  if (inflight.load(std::memory_order_relaxed) != 0) return false;
-  {
-    std::lock_guard<std::mutex> lock(completion_mutex);
-    if (!completions.empty()) return false;
-  }
-  for (const auto& [fd, conn] : connections)
-    if (!conn.outq.empty()) return false;
-  return true;
-}
-
-void Gateway::Impl::accept_ready() {
-  for (;;) {
-    const int fd = ::accept4(listener.fd(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;
-    }
-    Connection conn;
-    conn.fd = fd;
-    conn.id = next_connection_id++;
-    connection_fd[conn.id] = fd;
-    connections.emplace(fd, std::move(conn));
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev);
-    connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::global()
-        .counter("gateway.connections_accepted")
-        .add();
+std::vector<std::uint8_t> Gateway::Impl::answer_inline(const Frame& frame) {
+  switch (frame.type) {
+    case MessageType::kPingRequest:
+      // PING answers for the gateway itself (its health is what a load
+      // balancer in front of the fleet needs); the prober sees shard
+      // health.
+      return net::encode_frame(MessageType::kPingReply, frame.request_id,
+                               frame.device_id, 0,
+                               net::encode_ping_reply(health_info()));
+    case MessageType::kAdminRequest:
+      // Admin is gateway-local state, answered inline — it must keep
+      // working when every shard is down (that is exactly when the
+      // operator needs it).
+      return handle_admin(frame);
+    case MessageType::kWalFetchRequest:
+      // WAL shipping is a shard-to-standby channel: the standby must track
+      // ONE primary's byte stream, which a routing gateway cannot provide.
+      return error_frame(frame.request_id, frame.device_id,
+                         WireCode::kInvalidArgument,
+                         "WAL fetch is shard-direct, not routable");
+    case MessageType::kEnrollRequest:
+      // ENROLL with id 0 means "shard assigns the id" — unroutable here,
+      // the hash that picks the shard needs the id first.
+      if (frame.device_id == net::kDefaultDeviceId)
+        return error_frame(frame.request_id, frame.device_id,
+                           WireCode::kInvalidArgument,
+                           "gateway enrollment requires an explicit "
+                           "device id (0 = shard-assigned)");
+      return {};
+    default:
+      return {};
   }
 }
 
-void Gateway::Impl::read_ready(int fd) {
-  auto it = connections.find(fd);
-  if (it == connections.end()) return;
-  Connection& conn = it->second;
-  std::uint8_t chunk[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      conn.inbuf.insert(conn.inbuf.end(), chunk, chunk + n);
-      continue;
-    }
-    if (n == 0) {
-      close_connection(fd);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    close_connection(fd);
-    return;
-  }
-  consume_frames(fd);
-}
-
-void Gateway::Impl::consume_frames(int fd) {
-  auto it = connections.find(fd);
-  if (it == connections.end()) return;
-  const std::uint64_t conn_id = it->second.id;
-  std::size_t offset = 0;
-  while (!it->second.close_after_flush) {
-    Connection& conn = it->second;
-    Frame frame;
-    std::size_t consumed = 0;
-    const DecodeResult r = net::decode_frame(
-        conn.inbuf.data() + offset, conn.inbuf.size() - offset, &frame,
-        &consumed);
-    if (r == DecodeResult::kNeedMore) break;
-    if (r == DecodeResult::kMalformed) {
-      malformed_frames.fetch_add(1, std::memory_order_relaxed);
-      conn.close_after_flush = true;
-      enqueue_reply(conn, error_frame(0, net::kDefaultDeviceId,
-                                      WireCode::kMalformed,
-                                      "unparseable frame"));
-      return;
-    }
-    offset += consumed;
-    dispatch(conn, std::move(frame));
-    it = connections.find(fd);
-    if (it == connections.end() || it->second.id != conn_id) return;
-  }
-  if (offset > 0)
-    it->second.inbuf.erase(
-        it->second.inbuf.begin(),
-        it->second.inbuf.begin() + static_cast<std::ptrdiff_t>(offset));
-}
-
-void Gateway::Impl::dispatch(Connection& conn, Frame frame) {
-  if (!net::is_request(frame.type)) {
-    enqueue_reply(conn,
-                  error_frame(frame.request_id, frame.device_id,
-                              WireCode::kUnsupportedType,
-                              std::string("not a request type: ") +
-                                  net::message_type_name(frame.type)));
-    return;
-  }
-  if (draining.load(std::memory_order_relaxed)) {
-    if (frame.type == MessageType::kPingRequest) {
-      enqueue_reply(conn,
-                    net::encode_frame(MessageType::kPingReply,
-                                      frame.request_id, frame.device_id, 0,
-                                      net::encode_ping_reply(health_info())));
-      return;
-    }
-    shutdown_rejections.fetch_add(1, std::memory_order_relaxed);
-    enqueue_reply(conn, error_frame(frame.request_id, frame.device_id,
-                                    WireCode::kShuttingDown,
-                                    "gateway is draining"));
-    return;
-  }
-  // PING answers for the gateway itself (its health is what a load
-  // balancer in front of the fleet needs); the prober sees shard health.
-  if (frame.type == MessageType::kPingRequest) {
-    enqueue_reply(conn,
-                  net::encode_frame(MessageType::kPingReply,
-                                    frame.request_id, frame.device_id, 0,
-                                    net::encode_ping_reply(health_info())));
-    return;
-  }
-  // Admin is gateway-local state, answered inline — it must keep working
-  // when every shard is down (that is exactly when the operator needs it).
-  if (frame.type == MessageType::kAdminRequest) {
-    enqueue_reply(conn, handle_admin(frame));
-    return;
-  }
-  // WAL shipping is a shard-to-standby channel: the standby must track
-  // ONE primary's byte stream, which a routing gateway cannot provide.
-  if (frame.type == MessageType::kWalFetchRequest) {
-    enqueue_reply(conn,
-                  error_frame(frame.request_id, frame.device_id,
-                              WireCode::kInvalidArgument,
-                              "WAL fetch is shard-direct, not routable"));
-    return;
-  }
-  // ENROLL with id 0 means "shard assigns the id" — unroutable here, the
-  // hash that picks the shard needs the id first.
-  if (frame.type == MessageType::kEnrollRequest &&
-      frame.device_id == net::kDefaultDeviceId) {
-    enqueue_reply(conn,
-                  error_frame(frame.request_id, frame.device_id,
-                              WireCode::kInvalidArgument,
-                              "gateway enrollment requires an explicit "
-                              "device id (0 = shard-assigned)"));
-    return;
-  }
-  if (inflight.load(std::memory_order_relaxed) >= options.max_inflight) {
-    overloaded_rejections.fetch_add(1, std::memory_order_relaxed);
-    enqueue_reply(conn, error_frame(frame.request_id, frame.device_id,
-                                    WireCode::kOverloaded,
-                                    "gateway in-flight limit reached"));
-    return;
-  }
-
+std::vector<std::uint8_t> Gateway::Impl::dispatch(
+    std::uint64_t connection_id, Frame frame) {
+  const auto unavailable = [&](std::string message) {
+    unavailable_rejections.fetch_add(1, std::memory_order_relaxed);
+    return error_frame(frame.request_id, frame.device_id,
+                       WireCode::kShardUnavailable, std::move(message));
+  };
   // --- routing (shard_mutex) ---
   std::shared_ptr<GatewayShard> shard;
   bool pinned = false;
@@ -553,7 +269,7 @@ void Gateway::Impl::dispatch(Connection& conn, Frame frame) {
     std::lock_guard<std::mutex> lock(shard_mutex);
     std::string name;
     if (frame.type == MessageType::kChainedAuthRequest) {
-      const auto pit = pins.find({conn.id, frame.device_id});
+      const auto pit = pins.find({connection_id, frame.device_id});
       if (pit != pins.end()) {
         name = pit->second;
         pinned = true;
@@ -565,89 +281,42 @@ void Gateway::Impl::dispatch(Connection& conn, Frame frame) {
       }
     }
     if (name.empty()) name = ring.route(frame.device_id);
-    if (name.empty()) {
-      enqueue_reply(conn, error_frame(frame.request_id, frame.device_id,
-                                      WireCode::kShardUnavailable,
-                                      "no shards in the ring"));
-      unavailable_rejections.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    if (name.empty()) return unavailable("no shards in the ring");
     const auto sit = shards.find(name);
-    if (sit == shards.end()) {
-      enqueue_reply(conn, error_frame(frame.request_id, frame.device_id,
-                                      WireCode::kShardUnavailable,
-                                      "shard removed: " + name));
-      unavailable_rejections.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    if (sit == shards.end()) return unavailable("shard removed: " + name);
     shard = sit->second;
     // Draining refuses NEW sessions; a pinned CHAINED_AUTH is in-flight
     // work the drain contract promises to complete, so it passes.
     if (!pinned && shard->draining) {
-      if (!shard->successor_host.empty() && shard->successor_port != 0) {
-        net::RedirectReplyBody rd;
-        rd.host = shard->successor_host;
-        rd.port = shard->successor_port;
-        rd.shard = name;
-        rd.message = "shard draining; use successor";
-        enqueue_reply(conn, net::encode_frame(MessageType::kRedirectReply,
-                                              frame.request_id,
-                                              frame.device_id, 0,
-                                              net::encode_redirect_reply(rd)));
-        redirects_sent.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      enqueue_reply(conn, error_frame(frame.request_id, frame.device_id,
-                                      WireCode::kShardUnavailable,
-                                      "shard draining: " + name));
-      unavailable_rejections.fetch_add(1, std::memory_order_relaxed);
-      return;
+      if (shard->successor_host.empty() || shard->successor_port == 0)
+        return unavailable("shard draining: " + name);
+      net::RedirectReplyBody rd;
+      rd.host = shard->successor_host;
+      rd.port = shard->successor_port;
+      rd.shard = name;
+      rd.message = "shard draining; use successor";
+      redirects_sent.fetch_add(1, std::memory_order_relaxed);
+      return net::encode_frame(MessageType::kRedirectReply,
+                               frame.request_id, frame.device_id, 0,
+                               net::encode_redirect_reply(rd));
     }
-    if (!shard->up.load(std::memory_order_relaxed)) {
-      enqueue_reply(conn, error_frame(frame.request_id, frame.device_id,
-                                      WireCode::kShardUnavailable,
-                                      "shard down: " + name));
-      unavailable_rejections.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    if (!shard->up.load(std::memory_order_relaxed))
+      return unavailable("shard down: " + name);
     if (frame.type == MessageType::kChallengeRequest) {
-      pins[{conn.id, frame.device_id}] = name;
+      pins[{connection_id, frame.device_id}] = name;
       shard->pinned_sessions.fetch_add(1, std::memory_order_relaxed);
       pins_created.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  inflight.fetch_add(1, std::memory_order_relaxed);
   requests.fetch_add(1, std::memory_order_relaxed);
   obs::MetricsRegistry::global().counter("gateway.requests").add();
   const util::Deadline deadline = frame.deadline();
-  submit_forward(conn.id, std::move(shard), std::move(frame), deadline);
-}
-
-void Gateway::Impl::submit_forward(std::uint64_t connection_id,
-                                   std::shared_ptr<GatewayShard> shard,
-                                   Frame frame,
-                                   const util::Deadline& deadline) {
-  auto shared_frame = std::make_shared<Frame>(std::move(frame));
-  pool.submit([this, connection_id, shard, shared_frame, deadline] {
-    std::vector<std::uint8_t> reply;
-    try {
-      reply = forward(*shard, *shared_frame, deadline);
-    } catch (const std::exception& e) {
-      reply = error_frame(shared_frame->request_id, shared_frame->device_id,
-                          WireCode::kInternal, e.what());
-    } catch (...) {
-      reply = error_frame(shared_frame->request_id, shared_frame->device_id,
-                          WireCode::kInternal, "unknown forward failure");
-    }
-    {
-      std::lock_guard<std::mutex> lock(completion_mutex);
-      completions.push_back({connection_id, std::move(reply)});
-    }
-    inflight.fetch_sub(1, std::memory_order_relaxed);
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t rc = ::write(wake_fd, &one, sizeof(one));
-  });
+  reactor.submit(connection_id, std::move(frame),
+                 [this, shard = std::move(shard), deadline](const Frame& f) {
+                   return forward(*shard, f, deadline);
+                 });
+  return {};
 }
 
 std::vector<std::uint8_t> Gateway::Impl::forward(
@@ -667,8 +336,7 @@ std::vector<std::uint8_t> Gateway::Impl::forward(
   // wait inside the gateway burns the client's budget, not the shard's.
   const std::vector<std::uint8_t> wire =
       net::encode_frame(frame.type, frame.request_id, frame.device_id,
-                        deadline.is_unlimited() ? 0 : budget_ms_for(deadline),
-                        frame.payload);
+                        net::budget_ms_for(deadline), frame.payload);
 
   shard.inflight.fetch_add(1, std::memory_order_relaxed);
   Status last = Status::ok();
@@ -842,85 +510,11 @@ std::vector<std::uint8_t> Gateway::Impl::handle_admin(const Frame& frame) {
                            net::encode_admin_reply(reply));
 }
 
-// --- reply plumbing (event loop) --------------------------------------------
-
-void Gateway::Impl::drain_completions() {
-  std::vector<Completion> done;
-  {
-    std::lock_guard<std::mutex> lock(completion_mutex);
-    done.swap(completions);
-  }
-  for (Completion& c : done) {
-    const auto it = connection_fd.find(c.connection_id);
-    if (it == connection_fd.end()) continue;
-    const auto cit = connections.find(it->second);
-    if (cit == connections.end()) continue;
-    enqueue_reply(cit->second, std::move(c.bytes));
-  }
-}
-
-void Gateway::Impl::enqueue_reply(Connection& conn,
-                                  std::vector<std::uint8_t> bytes) {
-  conn.outq_bytes += bytes.size();
-  conn.outq.push_back(std::move(bytes));
-  flush(conn);
-}
-
-void Gateway::Impl::flush(Connection& conn) {
-  while (!conn.outq.empty()) {
-    const std::vector<std::uint8_t>& front = conn.outq.front();
-    const std::size_t left = front.size() - conn.out_offset;
-    const ssize_t n = ::send(conn.fd, front.data() + conn.out_offset, left,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      close_connection(conn.fd);
-      return;
-    }
-    conn.out_offset += static_cast<std::size_t>(n);
-    if (conn.out_offset == front.size()) {
-      conn.outq_bytes -= front.size();
-      conn.outq.pop_front();
-      conn.out_offset = 0;
-    }
-  }
-  if (conn.outq.empty() && conn.close_after_flush) {
-    close_connection(conn.fd);
-    return;
-  }
-  if (options.max_connection_backlog_bytes != 0 &&
-      conn.outq_bytes > options.max_connection_backlog_bytes) {
-    close_connection(conn.fd);
-    return;
-  }
-  update_epoll(conn);
-}
-
-void Gateway::Impl::update_epoll(Connection& conn) {
-  const bool want_write = !conn.outq.empty();
-  if (want_write == conn.want_write) return;
-  conn.want_write = want_write;
-  epoll_event ev{};
-  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-  ev.data.fd = conn.fd;
-  epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
-}
-
-void Gateway::Impl::close_connection(int fd) {
-  const auto it = connections.find(fd);
-  if (it == connections.end()) return;
-  closed_in_batch.insert(fd);
-  const std::uint64_t conn_id = it->second.id;
-  connection_fd.erase(conn_id);
-  epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  connections.erase(it);
-  // Sweep the connection's pins: the chained-auth sessions died with it.
+void Gateway::Impl::on_close(std::uint64_t connection_id) {
   std::lock_guard<std::mutex> lock(shard_mutex);
-  const auto begin = pins.lower_bound({conn_id, 0});
+  const auto begin = pins.lower_bound({connection_id, 0});
   auto end = begin;
-  while (end != pins.end() && end->first.first == conn_id) {
+  while (end != pins.end() && end->first.first == connection_id) {
     const auto sit = shards.find(end->second);
     if (sit != shards.end())
       sit->second->pinned_sessions.fetch_sub(1, std::memory_order_relaxed);

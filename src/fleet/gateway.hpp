@@ -7,12 +7,14 @@
 // a whole round trip, so replies can never interleave and no request-id
 // rewriting is needed.
 //
-// Threading mirrors server/auth_server.cpp (DESIGN.md §12): one epoll
-// event loop owns every client socket; a worker pool does the blocking
-// shard round trips and posts reply bytes back through a completion queue
-// + eventfd.  A separate health thread PINGs every shard on an interval
-// with up/down thresholds, and reads the shard's registry telemetry
-// (device count, WAL position) out of the health reply.
+// Threading (DESIGN.md §12): the gateway is a handler on net::FrameServer,
+// the same reactor the AuthServer runs on.  Its one event loop owns every
+// client socket; the reactor's worker pool does the blocking shard round
+// trips and posts reply bytes back through its completion queue + eventfd.
+// PING, admin and the unroutable frame kinds are answered on the loop.  A
+// separate health thread PINGs every shard on an interval with up/down
+// thresholds, and reads the shard's registry telemetry (device count, WAL
+// position) out of the health reply.
 //
 // Session pinning: a CHALLENGE reply starts a chained-auth session whose
 // nonce lives on the shard that issued it, so the gateway pins (client
@@ -110,6 +112,7 @@ class Gateway {
     /// The drain contract is that this stays 0: draining refuses NEW work
     /// but never abandons accepted work.
     std::uint64_t dropped_inflight = 0;
+    std::uint64_t slow_peer_disconnects = 0;  ///< backlog bound enforced
   };
   Stats stats() const;
 
@@ -117,7 +120,6 @@ class Gateway {
   struct Impl;
   GatewayOptions options_;
   std::unique_ptr<Impl> impl_;
-  std::thread loop_thread_;
   std::thread health_thread_;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};

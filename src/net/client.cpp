@@ -36,17 +36,6 @@ util::Deadline attempt_deadline(const util::Deadline& caller,
   return util::Deadline::after_seconds(default_ms * 1e-3);
 }
 
-std::uint32_t budget_ms_for(const util::Deadline& caller) {
-  if (caller.is_unlimited()) return 0;
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      caller.remaining());
-  // A sub-millisecond remainder still rounds up to 1 so "expired on the
-  // client" and "unlimited on the wire" can never be confused.
-  const auto ms = std::max<std::chrono::milliseconds::rep>(1, left.count());
-  return static_cast<std::uint32_t>(
-      std::min<std::chrono::milliseconds::rep>(ms, 0xffffffffu));
-}
-
 }  // namespace
 
 int decorrelated_jitter_ms(util::Rng& rng, int base_ms, int cap_ms,

@@ -1,6 +1,7 @@
 #include "net/wire.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "net/socket.hpp"
 
@@ -112,6 +113,15 @@ util::Status wire_code_to_status(WireCode code, const std::string& message) {
   return Status::internal(message);
 }
 
+std::uint32_t budget_ms_for(const util::Deadline& deadline) {
+  if (deadline.is_unlimited()) return 0;
+  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+      deadline.remaining());
+  const auto ms = std::max<std::chrono::milliseconds::rep>(1, left.count());
+  return static_cast<std::uint32_t>(
+      std::min<std::chrono::milliseconds::rep>(ms, 0xffffffffu));
+}
+
 std::vector<std::uint8_t> encode_frame(
     MessageType type, std::uint64_t request_id, std::uint64_t device_id,
     std::uint32_t budget_ms, const std::vector<std::uint8_t>& payload) {
@@ -211,6 +221,16 @@ std::vector<std::uint8_t> encode_error_reply(const ErrorReply& e) {
   w.u16(static_cast<std::uint16_t>(e.code));
   w.str(e.message);
   return w.take();
+}
+
+std::vector<std::uint8_t> error_frame(std::uint64_t request_id,
+                                      std::uint64_t device_id, WireCode code,
+                                      std::string message) {
+  ErrorReply err;
+  err.code = code;
+  err.message = std::move(message);
+  return encode_frame(MessageType::kErrorReply, request_id, device_id, 0,
+                      encode_error_reply(err));
 }
 
 util::Status decode_error_reply(const std::vector<std::uint8_t>& payload,

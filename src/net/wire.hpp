@@ -124,6 +124,12 @@ struct Frame {
   }
 };
 
+/// The inverse of Frame::deadline(): a deadline's remaining budget as a
+/// header budget_ms.  Unlimited is 0; a sub-millisecond remainder rounds
+/// up to 1 so "expired on the sender" and "unlimited on the wire" can
+/// never be confused.
+std::uint32_t budget_ms_for(const util::Deadline& deadline);
+
 /// Serialise a complete frame (header + payload).  A payload over
 /// kMaxPayload is never framed (the peer would reject it and drop the
 /// connection); it is replaced by a kErrorReply frame (kInternal) with the
@@ -180,6 +186,12 @@ struct ChainedAuthRequest {
 };
 
 std::vector<std::uint8_t> encode_error_reply(const ErrorReply& e);
+/// A whole kErrorReply frame.  It echoes the request's device id so a
+/// client multiplexing devices over one connection can attribute the
+/// failure.
+std::vector<std::uint8_t> error_frame(std::uint64_t request_id,
+                                      std::uint64_t device_id, WireCode code,
+                                      std::string message);
 util::Status decode_error_reply(const std::vector<std::uint8_t>& payload,
                                 ErrorReply* out);
 

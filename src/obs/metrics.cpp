@@ -324,27 +324,33 @@ void register_standard_metrics(MetricsRegistry& registry) {
     registry.gauge(std::string("ppuf.response_cache.") + g);
   }
 
-  // Authentication server (src/server): request outcomes, connection
-  // lifecycle, byte I/O, and a per-type wall-time histogram measured from
-  // dispatch to completion enqueue.
-  for (const char* c :
-       {"requests", "connections_accepted", "connections_closed",
-        "overloaded_rejections", "shutdown_rejections", "malformed_frames",
-        "bytes_read", "bytes_written"}) {
-    registry.counter(std::string("server.") + c);
+  // Authentication server (src/server) and fleet gateway (src/fleet): both
+  // run on net::FrameServer, which publishes the same transport set under
+  // each owner's prefix — request outcomes, connection lifecycle, byte
+  // I/O, slow peers cut at the backlog bound, and the loop's gauges.
+  for (const std::string prefix : {"server.", "gateway."}) {
+    for (const char* c :
+         {"requests", "connections_accepted", "connections_closed",
+          "overloaded_rejections", "shutdown_rejections", "malformed_frames",
+          "slow_peer_disconnects", "bytes_read", "bytes_written"}) {
+      registry.counter(prefix + c);
+    }
+    registry.gauge(prefix + "inflight");
+    registry.gauge(prefix + "connections");
   }
-  registry.gauge("server.inflight");
-  registry.gauge("server.connections");
+  registry.counter("gateway.forwarded");
+  // Server per-type wall time, measured from dispatch to completion
+  // enqueue.
   for (const char* t : {"ping", "predict", "verify", "verify_batch",
                         "challenge", "chained_auth"}) {
     registry.histogram(std::string("server.") + t + ".request_us");
   }
 
   // Cross-connection coalescing (DESIGN.md §16): batch shape, the wait
-  // each flushed batch actually absorbed, frames too budget-tight to
-  // coalesce, and slow peers cut at the backlog bound.
-  for (const char* c : {"coalesced_batches", "coalesced_items",
-                        "solo_dispatches", "slow_peer_disconnects"}) {
+  // each flushed batch actually absorbed, and frames too budget-tight to
+  // coalesce.
+  for (const char* c :
+       {"coalesced_batches", "coalesced_items", "solo_dispatches"}) {
     registry.counter(std::string("server.") + c);
   }
   registry.histogram("server.batch_size");

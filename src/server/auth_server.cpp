@@ -1,59 +1,33 @@
 #include "server/auth_server.hpp"
 
-#include <errno.h>
-#include <string.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "backend/backend.hpp"
 #include "backend/maxflow_backend.hpp"
-#include "net/socket.hpp"
+#include "net/frame_server.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "ppuf/response_cache.hpp"
 #include "protocol/authentication.hpp"
 #include "registry/device_registry.hpp"
 #include "registry/hydration_cache.hpp"
-#include "util/fault_hooks.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppuf::server {
 
 namespace {
 
-using net::DecodeResult;
-using net::ErrorReply;
+using net::error_frame;
 using net::Frame;
 using net::MessageType;
 using net::WireCode;
 using util::Status;
-
-constexpr std::size_t kReadChunk = 64 * 1024;
-
-/// Error replies echo the request's device id so a client multiplexing
-/// devices over one connection can attribute the failure.
-std::vector<std::uint8_t> error_frame(std::uint64_t request_id,
-                                      std::uint64_t device_id, WireCode code,
-                                      std::string message) {
-  ErrorReply err;
-  err.code = code;
-  err.message = std::move(message);
-  return net::encode_frame(MessageType::kErrorReply, request_id, device_id,
-                           0, net::encode_error_reply(err));
-}
 
 WireCode wire_code_for(const Status& s) {
   switch (s.code()) {
@@ -74,24 +48,16 @@ WireCode wire_code_for(const Status& s) {
 
 }  // namespace
 
-/// Minimal RAII fd for epoll/eventfd: these must outlive the worker pool
-/// (a finishing worker writes the eventfd), so they are declared before it
-/// and closed after it joins.
-struct OwnedFd {
-  int fd = -1;
-  ~OwnedFd() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
-struct AuthServer::Impl {
+/// The server's handler on the shared reactor: device resolution, the
+/// request handlers, and the coalescer.
+struct AuthServer::Impl final : net::FrameServer::Handler {
   /// Single-device mode: one max-flow device, addressed as device 0.
   Impl(const SimulationModel& model, const AuthServerOptions& options,
        std::atomic<bool>& draining)
       : options(options),
-        draining(draining),
         rng(options.challenge_seed),
-        pool(options.threads) {
+        reactor(*this, "server", "in-flight limit reached",
+                net::FrameServer::limits_of(options), draining) {
     backend::MaterializeOptions mopts;
     mopts.verifier_deadline_seconds = options.verifier_deadline_seconds;
     mopts.flow_tolerance_fraction = options.flow_tolerance_fraction;
@@ -107,9 +73,9 @@ struct AuthServer::Impl {
        const AuthServerOptions& options, std::atomic<bool>& draining)
       : device_registry(&registry),
         options(options),
-        draining(draining),
         rng(options.challenge_seed),
-        pool(options.threads) {
+        reactor(*this, "server", "in-flight limit reached",
+                net::FrameServer::limits_of(options), draining) {
     if (options.response_cache_bytes > 0)
       response_cache.emplace(options.response_cache_bytes);
     registry::HydrationCache::Options cache_options;
@@ -141,7 +107,6 @@ struct AuthServer::Impl {
   std::optional<registry::HydrationCache> hydration;
 
   AuthServerOptions options;
-  std::atomic<bool>& draining;
 
   /// What a handler works against once the frame's device id resolved:
   /// a borrowed backend::Device, kept alive by `hold` in registry mode
@@ -190,49 +155,6 @@ struct AuthServer::Impl {
   std::mutex rng_mutex;  ///< guards rng (workers issue challenges too)
   util::Rng rng;
 
-  std::atomic<std::size_t> inflight{0};
-
-  net::Socket listener;
-  OwnedFd epoll_handle;
-  OwnedFd wake_handle;
-  int epoll_fd = -1;  ///< == epoll_handle.fd, kept for readability
-  int wake_fd = -1;   ///< == wake_handle.fd
-
-  struct Connection {
-    std::uint64_t id = 0;
-    int fd = -1;
-    std::vector<std::uint8_t> inbuf;
-    std::deque<std::vector<std::uint8_t>> outq;
-    std::size_t out_offset = 0;  ///< bytes of outq.front() already sent
-    std::size_t outq_bytes = 0;  ///< total queued reply bytes (backlog cap)
-    bool close_after_flush = false;
-    bool want_write = false;
-  };
-
-  std::unordered_map<int, Connection> connections;       // fd -> state
-  std::unordered_map<std::uint64_t, int> connection_fd;  // id -> fd
-  std::uint64_t next_connection_id = 1;
-
-  /// Fds closed while processing the current epoll_wait batch.  accept()
-  /// may reuse such an fd for a NEW connection within the same batch; a
-  /// stale queued event (e.g. EPOLLHUP for the old peer) must not be
-  /// applied to it.  Events for the new fd cannot be in this batch, so
-  /// skipping is always safe.
-  std::unordered_set<int> closed_in_batch;
-
-  struct Completion {
-    std::uint64_t connection_id;
-    std::vector<std::uint8_t> bytes;
-  };
-  /// completion_mutex protects ONLY the vector push/swap — it is never
-  /// held across a socket flush or any other syscall.  Workers post under
-  /// the lock and return; the event loop swaps the whole vector out under
-  /// the lock (drain_completions) and does every enqueue/flush after
-  /// releasing it, so a slow or blocked peer can never stall a worker
-  /// that is trying to post a completion.
-  std::mutex completion_mutex;
-  std::vector<Completion> completions;
-
   // --- coalescing stage (event-loop thread only) --------------------------
 
   /// One frame parked in a per-device batch.  The deadline was re-anchored
@@ -250,66 +172,48 @@ struct AuthServer::Impl {
 
   bool coalesce_enabled() const { return options.coalesce_max_batch > 1; }
 
-  // Stats (relaxed atomics; read via AuthServer::stats()).
-  std::atomic<std::uint64_t> connections_accepted{0};
+  // Stats (relaxed atomics; read via AuthServer::stats()).  The transport
+  // counters live in the reactor.
   std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> overloaded_rejections{0};
-  std::atomic<std::uint64_t> shutdown_rejections{0};
-  std::atomic<std::uint64_t> malformed_frames{0};
   std::atomic<std::uint64_t> unknown_device_rejections{0};
   std::atomic<std::uint64_t> coalesced_batches{0};
   std::atomic<std::uint64_t> coalesced_items{0};
   std::atomic<std::uint64_t> solo_dispatches{0};
-  std::atomic<std::uint64_t> slow_peer_disconnects{0};
   std::atomic<std::uint64_t> enrolls_served{0};
   std::atomic<std::uint64_t> wal_fetches_served{0};
 
-  /// Declared last so it is destroyed FIRST: the pool's destructor joins
-  /// workers that may still be writing wake_fd, which must stay open
-  /// until they are gone.
-  util::ThreadPool pool;
+  /// Declared last so it is destroyed FIRST: its pool joins workers that
+  /// are still running handler code against the members above.
+  net::FrameServer reactor;
 
-  // --- event loop ---------------------------------------------------------
+  // --- reactor hooks (event-loop thread) ----------------------------------
 
-  void run();
-  void accept_ready();
-  void read_ready(int fd);
-  void consume_frames(int fd);
-  void dispatch(Connection& conn, Frame frame);
+  std::vector<std::uint8_t> dispatch(std::uint64_t connection_id,
+                                     Frame frame) override;
+  /// epoll timeout until the next batch-window expiry, in ms (clamped to
+  /// [1, fallback]); fallback when no batch is open.
+  int poll_timeout_ms(int fallback) const override;
+  /// Flush every batch that is due: full batches close in dispatch();
+  /// here age (oldest item waited >= coalesce_wait_us) or a drain closes
+  /// the rest.
+  void on_loop_pass(bool draining) override;
+  bool idle() const override { return pending_count == 0; }
+
   /// Per-frame dispatch: one pool task for one frame (the pre-coalescing
   /// path, still used for every non-batchable type and for solo frames).
   void submit_frame(std::uint64_t connection_id, Frame frame,
                     const util::Deadline& deadline);
   /// Flush one device's open batch to the pool.
   void flush_device_batch(std::uint64_t device_id);
-  /// Flush every batch that is due: full batches close in dispatch();
-  /// here age (oldest item waited >= coalesce_wait_us) or a drain closes
-  /// the rest.
-  void flush_ready_batches(bool force);
-  /// epoll timeout until the next batch-window expiry, in ms (clamped to
-  /// [1, fallback]); fallback when no batch is open.
-  int poll_timeout_ms(int fallback) const;
-  void enqueue_reply(Connection& conn, std::vector<std::uint8_t> bytes);
-  void flush(Connection& conn);
-  void update_epoll(Connection& conn);
-  void close_connection(int fd);
-  void drain_completions();
-  bool drained();
 
   /// Health snapshot carried in every PING reply (safe from any thread:
   /// all inputs are atomics, immutable options, or the registry behind
   /// its own mutex).  Registry mode also reports the device count and
   /// WAL position, so a gateway's health probe doubles as replication-lag
   /// telemetry.
-  net::HealthInfo health_info() const {
-    net::HealthInfo h;
-    h.inflight = static_cast<std::uint32_t>(
-        inflight.load(std::memory_order_relaxed));
-    h.max_inflight = static_cast<std::uint32_t>(options.max_inflight);
-    h.draining = draining.load(std::memory_order_relaxed) ? 1 : 0;
+  net::HealthInfo health_info() const override {
+    net::HealthInfo h = reactor.transport_health();
     h.requests_served = requests.load(std::memory_order_relaxed);
-    h.connections_accepted =
-        connections_accepted.load(std::memory_order_relaxed);
     if (device_registry != nullptr) {
       h.device_count = device_registry->device_count();
       const registry::DeviceRegistry::WalPosition pos =
@@ -371,31 +275,8 @@ util::Status AuthServer::start() {
   impl_ = model_ != nullptr
               ? std::make_unique<Impl>(*model_, options_, draining_)
               : std::make_unique<Impl>(*registry_, options_, draining_);
-
-  if (Status s = net::listen_tcp(options_.port, options_.listen_backlog,
-                                 &impl_->listener, &port_);
-      !s.is_ok())
-    return s;
-
-  impl_->epoll_handle.fd = epoll_create1(EPOLL_CLOEXEC);
-  impl_->epoll_fd = impl_->epoll_handle.fd;
-  if (impl_->epoll_fd < 0)
-    return Status::unavailable(std::string("epoll_create1: ") +
-                               strerror(errno));
-  impl_->wake_handle.fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  impl_->wake_fd = impl_->wake_handle.fd;
-  if (impl_->wake_fd < 0)
-    return Status::unavailable(std::string("eventfd: ") + strerror(errno));
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = impl_->listener.fd();
-  epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listener.fd(), &ev);
-  ev.data.fd = impl_->wake_fd;
-  epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->wake_fd, &ev);
-
+  if (Status s = impl_->reactor.start(&port_); !s.is_ok()) return s;
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { impl_->run(); });
   return Status::ok();
 }
 
@@ -404,13 +285,11 @@ void AuthServer::request_drain() {
   draining_.store(true, std::memory_order_relaxed);
   // Wake the loop so it notices; eventfd writes are async-signal-safe,
   // so a signal-handling thread may call this.
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t rc =
-      ::write(impl_->wake_fd, &one, sizeof(one));
+  impl_->reactor.wake();
 }
 
 void AuthServer::wait() {
-  if (loop_thread_.joinable()) loop_thread_.join();
+  if (impl_ != nullptr) impl_->reactor.wait();
   running_.store(false, std::memory_order_release);
 }
 
@@ -422,251 +301,30 @@ void AuthServer::stop() {
 AuthServer::Stats AuthServer::stats() const {
   Stats s;
   if (impl_ == nullptr) return s;
-  s.connections_accepted =
-      impl_->connections_accepted.load(std::memory_order_relaxed);
+  const net::FrameServer::Stats t = impl_->reactor.stats();
+  s.connections_accepted = t.connections_accepted;
   s.requests = impl_->requests.load(std::memory_order_relaxed);
-  s.overloaded_rejections =
-      impl_->overloaded_rejections.load(std::memory_order_relaxed);
-  s.shutdown_rejections =
-      impl_->shutdown_rejections.load(std::memory_order_relaxed);
-  s.malformed_frames =
-      impl_->malformed_frames.load(std::memory_order_relaxed);
+  s.overloaded_rejections = t.overloaded_rejections;
+  s.shutdown_rejections = t.shutdown_rejections;
+  s.malformed_frames = t.malformed_frames;
   s.unknown_device_rejections =
       impl_->unknown_device_rejections.load(std::memory_order_relaxed);
   s.coalesced_batches =
       impl_->coalesced_batches.load(std::memory_order_relaxed);
   s.coalesced_items = impl_->coalesced_items.load(std::memory_order_relaxed);
   s.solo_dispatches = impl_->solo_dispatches.load(std::memory_order_relaxed);
-  s.slow_peer_disconnects =
-      impl_->slow_peer_disconnects.load(std::memory_order_relaxed);
+  s.slow_peer_disconnects = t.slow_peer_disconnects;
   s.enrolls_served = impl_->enrolls_served.load(std::memory_order_relaxed);
   s.wal_fetches_served =
       impl_->wal_fetches_served.load(std::memory_order_relaxed);
   return s;
 }
 
-// --- event loop ------------------------------------------------------------
+// --- dispatch and coalescing (event-loop thread) ---------------------------
 
-void AuthServer::Impl::run() {
+std::vector<std::uint8_t> AuthServer::Impl::dispatch(
+    std::uint64_t connection_id, Frame frame) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  bool listener_open = true;
-  std::vector<epoll_event> events(64);
-  for (;;) {
-    const bool drain_now = draining.load(std::memory_order_relaxed);
-    if (drain_now && listener_open) {
-      epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listener.fd(), nullptr);
-      listener.close();
-      listener_open = false;
-    }
-    if (drain_now && drained()) break;
-
-    const int n = epoll_wait(epoll_fd, events.data(),
-                             static_cast<int>(events.size()),
-                             poll_timeout_ms(drain_now ? 50 : 500));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;  // epoll itself failed; nothing sensible left to do
-    }
-    closed_in_batch.clear();
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_fd) {
-        std::uint64_t drainv = 0;
-        while (::read(wake_fd, &drainv, sizeof(drainv)) > 0) {
-        }
-        continue;  // completions handled below every iteration
-      }
-      if (listener_open && fd == listener.fd()) {
-        accept_ready();
-        continue;
-      }
-      if (closed_in_batch.count(fd) != 0) continue;  // stale: fd was reused
-      auto it = connections.find(fd);
-      if (it == connections.end()) continue;
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        close_connection(fd);
-        continue;
-      }
-      if (events[i].events & EPOLLIN) read_ready(fd);
-      // read_ready may have closed the connection; re-find before writing.
-      auto wit = connections.find(fd);
-      if (wit != connections.end() && (events[i].events & EPOLLOUT))
-        flush(wit->second);
-    }
-    // Batches whose window elapsed while we slept (or that a drain must
-    // not strand) go to the pool before completions are scattered.
-    flush_ready_batches(/*force=*/drain_now);
-    drain_completions();
-    reg.gauge("server.inflight")
-        .set(static_cast<std::int64_t>(
-            inflight.load(std::memory_order_relaxed)));
-    reg.gauge("server.connections")
-        .set(static_cast<std::int64_t>(connections.size()));
-  }
-  // Drained: close every remaining connection.  The epoll/event fds stay
-  // open until ~Impl (workers may still be writing wake_fd).
-  std::vector<int> fds;
-  fds.reserve(connections.size());
-  for (const auto& [fd, conn] : connections) fds.push_back(fd);
-  for (const int fd : fds) close_connection(fd);
-}
-
-bool AuthServer::Impl::drained() {
-  if (pending_count != 0) return false;  // open batches still hold frames
-  if (inflight.load(std::memory_order_relaxed) != 0) return false;
-  {
-    std::lock_guard<std::mutex> lock(completion_mutex);
-    if (!completions.empty()) return false;
-  }
-  for (const auto& [fd, conn] : connections)
-    if (!conn.outq.empty()) return false;
-  return true;
-}
-
-void AuthServer::Impl::accept_ready() {
-  for (;;) {
-    const int fd = ::accept4(listener.fd(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;  // transient accept failure; the loop will retry
-    }
-    if (util::FaultHooks::consume_server_accept_failure()) {
-      // Injected accept failure: the peer sees an immediate close, as if
-      // the listener ran out of fds or reset under SYN pressure.
-      ::close(fd);
-      continue;
-    }
-    Connection conn;
-    conn.fd = fd;
-    conn.id = next_connection_id++;
-    connection_fd[conn.id] = fd;
-    connections.emplace(fd, std::move(conn));
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev);
-    connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::global().counter("server.connections_accepted")
-        .add();
-  }
-}
-
-void AuthServer::Impl::read_ready(int fd) {
-  auto it = connections.find(fd);
-  if (it == connections.end()) return;
-  if (util::FaultHooks::consume_server_recv_failure()) {
-    // Injected hard recv error: drop the connection mid-stream.
-    close_connection(fd);
-    return;
-  }
-  Connection& conn = it->second;
-  std::uint8_t chunk[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      conn.inbuf.insert(conn.inbuf.end(), chunk, chunk + n);
-      obs::MetricsRegistry::global().counter("server.bytes_read")
-          .add(static_cast<std::uint64_t>(n));
-      continue;
-    }
-    if (n == 0) {  // peer closed
-      close_connection(fd);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    close_connection(fd);
-    return;
-  }
-  consume_frames(fd);
-}
-
-void AuthServer::Impl::consume_frames(int fd) {
-  // The Connection must be re-looked-up after every dispatch: a reply flush
-  // can hit a send error (peer reset mid-pipeline) and close_connection()
-  // destroys the map entry, so any reference held across dispatch dangles.
-  auto it = connections.find(fd);
-  if (it == connections.end()) return;
-  const std::uint64_t conn_id = it->second.id;
-  std::size_t offset = 0;
-  while (!it->second.close_after_flush) {
-    Connection& conn = it->second;
-    Frame frame;
-    std::size_t consumed = 0;
-    const DecodeResult r = net::decode_frame(
-        conn.inbuf.data() + offset, conn.inbuf.size() - offset, &frame,
-        &consumed);
-    if (r == DecodeResult::kNeedMore) break;
-    if (r == DecodeResult::kMalformed) {
-      // The stream cannot be resynchronised: answer with a typed error
-      // (request id unknown — use 0) and close once it is flushed.
-      malformed_frames.fetch_add(1, std::memory_order_relaxed);
-      obs::MetricsRegistry::global().counter("server.malformed_frames")
-          .add();
-      // Flag before enqueueing so the flush inside enqueue_reply closes the
-      // socket as soon as the error is written; return without touching
-      // `conn` again — it may already be destroyed by that close.
-      conn.close_after_flush = true;
-      enqueue_reply(conn, error_frame(0, net::kDefaultDeviceId,
-                                      WireCode::kMalformed,
-                                      "unparseable frame"));
-      return;
-    }
-    offset += consumed;
-    dispatch(conn, std::move(frame));
-    it = connections.find(fd);
-    if (it == connections.end() || it->second.id != conn_id)
-      return;  // closed (and possibly reused) during dispatch
-  }
-  if (offset > 0)
-    it->second.inbuf.erase(
-        it->second.inbuf.begin(),
-        it->second.inbuf.begin() + static_cast<std::ptrdiff_t>(offset));
-}
-
-void AuthServer::Impl::dispatch(Connection& conn, Frame frame) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  if (!net::is_request(frame.type)) {
-    enqueue_reply(conn,
-                  error_frame(frame.request_id, frame.device_id,
-                              WireCode::kUnsupportedType,
-                              std::string("not a request type: ") +
-                                  net::message_type_name(frame.type)));
-    return;
-  }
-  if (draining.load(std::memory_order_relaxed)) {
-    if (frame.type == MessageType::kPingRequest) {
-      // Readiness must stay observable *during* the drain — a load
-      // balancer that cannot ping a draining node just sees it vanish.
-      // PING is answered inline on the event loop (no pool, no admission
-      // control, delay knob ignored) so nothing can stall the drain, and
-      // the health payload reports draining=1.
-      enqueue_reply(conn,
-                    net::encode_frame(MessageType::kPingReply,
-                                      frame.request_id, frame.device_id, 0,
-                                      net::encode_ping_reply(health_info())));
-      return;
-    }
-    shutdown_rejections.fetch_add(1, std::memory_order_relaxed);
-    reg.counter("server.shutdown_rejections").add();
-    enqueue_reply(conn, error_frame(frame.request_id, frame.device_id,
-                                    WireCode::kShuttingDown,
-                                    "server is draining"));
-    return;
-  }
-  // Admission control.  Only the event loop increments, so load+store is
-  // race-free; workers decrement when done.
-  if (inflight.load(std::memory_order_relaxed) >= options.max_inflight) {
-    overloaded_rejections.fetch_add(1, std::memory_order_relaxed);
-    reg.counter("server.overloaded_rejections").add();
-    enqueue_reply(conn, error_frame(frame.request_id, frame.device_id,
-                                    WireCode::kOverloaded,
-                                    "in-flight limit reached"));
-    return;
-  }
-  inflight.fetch_add(1, std::memory_order_relaxed);
   requests.fetch_add(1, std::memory_order_relaxed);
   reg.counter("server.requests").add();
 
@@ -676,8 +334,8 @@ void AuthServer::Impl::dispatch(Connection& conn, Frame frame) {
                          (frame.type == MessageType::kPredictRequest ||
                           frame.type == MessageType::kVerifyRequest);
   if (!batchable) {
-    submit_frame(conn.id, std::move(frame), deadline);
-    return;
+    submit_frame(connection_id, std::move(frame), deadline);
+    return {};
   }
   // Batch-window deadline policy: a frame joins a batch only if its
   // budget can survive the full window; otherwise it goes to the pool
@@ -687,13 +345,13 @@ void AuthServer::Impl::dispatch(Connection& conn, Frame frame) {
                                  options.coalesce_wait_us)) {
     solo_dispatches.fetch_add(1, std::memory_order_relaxed);
     reg.counter("server.solo_dispatches").add();
-    submit_frame(conn.id, std::move(frame), deadline);
-    return;
+    submit_frame(connection_id, std::move(frame), deadline);
+    return {};
   }
   const std::uint64_t device_id = frame.device_id;
   std::vector<PendingItem>& batch = pending[device_id];
   PendingItem item;
-  item.connection_id = conn.id;
+  item.connection_id = connection_id;
   item.frame = std::move(frame);
   item.deadline = deadline;
   item.enqueued_at = std::chrono::steady_clock::now();
@@ -701,30 +359,15 @@ void AuthServer::Impl::dispatch(Connection& conn, Frame frame) {
   ++pending_count;
   if (batch.size() >= options.coalesce_max_batch)
     flush_device_batch(device_id);
+  return {};
 }
 
 void AuthServer::Impl::submit_frame(std::uint64_t connection_id, Frame frame,
                                     const util::Deadline& deadline) {
-  auto shared_frame = std::make_shared<Frame>(std::move(frame));
-  pool.submit([this, shared_frame, deadline, connection_id] {
-    std::vector<std::uint8_t> reply;
-    try {
-      reply = handle(*shared_frame, deadline);
-    } catch (const std::exception& e) {
-      reply = error_frame(shared_frame->request_id, shared_frame->device_id,
-                          WireCode::kInternal, e.what());
-    } catch (...) {
-      reply = error_frame(shared_frame->request_id, shared_frame->device_id,
-                          WireCode::kInternal, "unknown handler failure");
-    }
-    {
-      std::lock_guard<std::mutex> lock(completion_mutex);
-      completions.push_back({connection_id, std::move(reply)});
-    }
-    inflight.fetch_sub(1, std::memory_order_relaxed);
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t rc = ::write(wake_fd, &one, sizeof(one));
-  });
+  reactor.submit(connection_id, std::move(frame),
+                 [this, deadline](const Frame& f) {
+                   return handle(f, deadline);
+                 });
 }
 
 void AuthServer::Impl::flush_device_batch(std::uint64_t device_id) {
@@ -750,18 +393,19 @@ void AuthServer::Impl::flush_device_batch(std::uint64_t device_id) {
 
   auto shared_items =
       std::make_shared<std::vector<PendingItem>>(std::move(items));
-  pool.submit([this, device_id, shared_items] {
+  reactor.pool().submit([this, device_id, shared_items] {
     run_batch(device_id, std::move(*shared_items));
   });
 }
 
-void AuthServer::Impl::flush_ready_batches(bool force) {
+void AuthServer::Impl::on_loop_pass(bool draining) {
   if (pending.empty()) return;
   const auto now = std::chrono::steady_clock::now();
   const auto window = std::chrono::microseconds(options.coalesce_wait_us);
   std::vector<std::uint64_t> due;
   for (const auto& [device_id, batch] : pending) {
-    if (force ||
+    // A drain must not strand an open batch.
+    if (draining ||
         (!batch.empty() && now - batch.front().enqueued_at >= window))
       due.push_back(device_id);
   }
@@ -784,102 +428,6 @@ int AuthServer::Impl::poll_timeout_ms(int fallback) const {
   // is inside the window tolerance the policy already promises.
   return static_cast<int>(
       std::min<long long>(fallback, std::max<long long>(1, ms)));
-}
-
-void AuthServer::Impl::drain_completions() {
-  std::vector<Completion> done;
-  {
-    std::lock_guard<std::mutex> lock(completion_mutex);
-    done.swap(completions);
-  }
-  for (Completion& c : done) {
-    const auto it = connection_fd.find(c.connection_id);
-    if (it == connection_fd.end()) continue;  // connection died meanwhile
-    const auto cit = connections.find(it->second);
-    if (cit == connections.end()) continue;
-    enqueue_reply(cit->second, std::move(c.bytes));
-  }
-}
-
-void AuthServer::Impl::enqueue_reply(Connection& conn,
-                                     std::vector<std::uint8_t> bytes) {
-  conn.outq_bytes += bytes.size();
-  conn.outq.push_back(std::move(bytes));
-  flush(conn);
-}
-
-void AuthServer::Impl::flush(Connection& conn) {
-  while (!conn.outq.empty()) {
-    if (util::FaultHooks::server_send_blocked()) break;  // injected EAGAIN
-    if (util::FaultHooks::consume_server_send_failure()) {
-      // Injected peer reset (test-only; see util::FaultHooks).
-      close_connection(conn.fd);
-      return;
-    }
-    const std::vector<std::uint8_t>& front = conn.outq.front();
-    std::size_t left = front.size() - conn.out_offset;
-    if (left > 1 && util::FaultHooks::consume_server_send_short()) {
-      // Injected short write: the kernel "accepts" only a few bytes, so
-      // the partial-write bookkeeping (out_offset, EPOLLOUT re-arm) runs
-      // under test instead of only under a saturated socket buffer.
-      left = std::min<std::size_t>(left, 8);
-    }
-    const ssize_t n = ::send(conn.fd, front.data() + conn.out_offset, left,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      close_connection(conn.fd);
-      return;
-    }
-    obs::MetricsRegistry::global().counter("server.bytes_written")
-        .add(static_cast<std::uint64_t>(n));
-    conn.out_offset += static_cast<std::size_t>(n);
-    if (conn.out_offset == front.size()) {
-      conn.outq_bytes -= front.size();
-      conn.outq.pop_front();
-      conn.out_offset = 0;
-    }
-  }
-  if (conn.outq.empty() && conn.close_after_flush) {
-    close_connection(conn.fd);
-    return;
-  }
-  // Slow-peer bound: a reader that stopped draining while replies keep
-  // arriving gets disconnected here rather than growing the out-queue
-  // without limit.  Workers are unaffected either way — they post
-  // completions under completion_mutex and never touch a socket.
-  if (options.max_connection_backlog_bytes != 0 &&
-      conn.outq_bytes > options.max_connection_backlog_bytes) {
-    slow_peer_disconnects.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::global()
-        .counter("server.slow_peer_disconnects")
-        .add();
-    close_connection(conn.fd);
-    return;
-  }
-  update_epoll(conn);
-}
-
-void AuthServer::Impl::update_epoll(Connection& conn) {
-  const bool want_write = !conn.outq.empty();
-  if (want_write == conn.want_write) return;
-  conn.want_write = want_write;
-  epoll_event ev{};
-  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-  ev.data.fd = conn.fd;
-  epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
-}
-
-void AuthServer::Impl::close_connection(int fd) {
-  const auto it = connections.find(fd);
-  if (it == connections.end()) return;
-  closed_in_batch.insert(fd);
-  connection_fd.erase(it->second.id);
-  epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  connections.erase(it);
-  obs::MetricsRegistry::global().counter("server.connections_closed").add();
 }
 
 // --- request handlers (worker threads) -------------------------------------
@@ -1331,14 +879,10 @@ void AuthServer::Impl::run_batch(std::uint64_t device_id,
   }
   // Reply-scatter: one lock and one wake for the whole batch; each item
   // routes back to its own originating connection.
-  {
-    std::lock_guard<std::mutex> lock(completion_mutex);
-    for (std::size_t i = 0; i < items.size(); ++i)
-      completions.push_back({items[i].connection_id, std::move(replies[i])});
-  }
-  inflight.fetch_sub(items.size(), std::memory_order_relaxed);
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t rc = ::write(wake_fd, &one, sizeof(one));
+  reactor.complete_batch(items.size(), [&](std::size_t i) {
+    return net::FrameServer::Completion{items[i].connection_id,
+                                        std::move(replies[i])};
+  });
 }
 
 }  // namespace ppuf::server

@@ -6,14 +6,16 @@
 // SimulationModel and serves PREDICT / VERIFY / VERIFY_BATCH / CHALLENGE /
 // CHAINED_AUTH over the framed wire protocol of net/wire.
 //
-// Threading model (DESIGN.md §12):
+// Threading model (DESIGN.md §12): the server is a handler on
+// net::FrameServer, the reactor it shares with the fleet gateway.
 //   - ONE event-loop thread owns every socket: epoll-driven non-blocking
 //     accept/read/write, frame extraction, admission control, and error
-//     replies.  It never solves anything.
-//   - A util::ThreadPool executes request bodies (max-flow solves,
-//     residual-graph verification).  Workers never touch sockets; they
-//     hand finished reply bytes back through a completion queue and wake
-//     the loop via an eventfd.
+//     replies.  It never solves anything; the server adds only device
+//     batching (coalescing) on that thread.
+//   - The reactor's util::ThreadPool executes request bodies (max-flow
+//     solves, residual-graph verification).  Workers never touch sockets;
+//     they hand finished reply bytes back through a completion queue and
+//     wake the loop via an eventfd.
 //
 // Overload semantics: admission is a bounded in-flight count checked by
 // the event loop before dispatch.  Past the bound the request is answered
@@ -36,7 +38,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 
 #include "ppuf/sim_model.hpp"
 #include "util/status.hpp"
@@ -163,7 +164,6 @@ class AuthServer {
   registry::DeviceRegistry* registry_ = nullptr;  ///< registry mode
   AuthServerOptions options_;
   std::unique_ptr<Impl> impl_;
-  std::thread loop_thread_;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};

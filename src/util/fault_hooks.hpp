@@ -19,6 +19,10 @@
 //     fsync/rename).  The chaos campaign (src/testing/chaos) arms whole
 //     schedules of these and asserts serving invariants while they fire.
 //
+// The `server_*` hooks sit in net::FrameServer, the one event loop behind
+// both the AuthServer and the fleet Gateway, so they fire in every
+// FrameServer — the gateway's included.
+//
 // All hooks default to "inactive" (zero); production code never arms them.
 // Arm/disarm through testing::ScopedFaultInjection or the chaos scheduler,
 // both of which restore the inactive state on scope exit.
@@ -44,13 +48,13 @@ struct FaultHooks {
   /// before doing any work (exercises solve_batch's bounded retry).
   std::atomic<int> maxflow_transient_failures{0};
 
-  /// > 0: countdown of AuthServer socket sends that fail as if the peer
+  /// > 0: countdown of FrameServer socket sends that fail as if the peer
   /// reset the connection (the hard-error branch of flush()).  Lets tests
   /// deterministically close a connection mid-pipeline, a path that is
   /// otherwise a narrow timing race against a real RST.
   std::atomic<int> server_send_failures{0};
 
-  /// true: AuthServer flush() treats every send as EAGAIN (kernel buffer
+  /// true: FrameServer flush() treats every send as EAGAIN (kernel buffer
   /// full) without touching the socket — the deterministic way to grow a
   /// connection's reply backlog for slow-peer tests, independent of the
   /// host's actual socket buffer sizing.  State, not an event: it does

@@ -8,7 +8,10 @@
 // requests are issued sequentially, so every verifier verdict in this
 // file is deterministic — a green run stays green.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -30,6 +33,8 @@
 #include "protocol/authentication.hpp"
 #include "registry/device_registry.hpp"
 #include "server/auth_server.hpp"
+#include "testing/fault_injection.hpp"
+#include "util/fault_hooks.hpp"
 #include "util/status.hpp"
 
 namespace ppuf {
@@ -417,6 +422,136 @@ TEST(FleetGateway, RemoveShardAndUnroutableRing) {
 
   gateway.stop();
   shard.server->stop();
+}
+
+// --- Gateway hardening -----------------------------------------------------
+//
+// The gateway runs on the same reactor as the server, so the server's
+// transport hardening must hold on the gateway side too.  These gateways
+// have no shards: they answer PING and non-request frames on their own
+// loop, so the process-global fault hooks touch only the gateway's reactor.
+
+net::ErrorReply error_of(const net::Frame& frame) {
+  net::ErrorReply err;
+  EXPECT_EQ(frame.type, net::MessageType::kErrorReply);
+  EXPECT_TRUE(net::decode_error_reply(frame.payload, &err).is_ok());
+  return err;
+}
+
+TEST(FleetGateway, MalformedStreamGetsTypedErrorThenClose) {
+  Gateway gateway;
+  ASSERT_TRUE(gateway.start().is_ok());
+  net::Socket sock;
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", gateway.port(), 2000, &sock).is_ok());
+  const util::Deadline io = util::Deadline::after_seconds(5.0);
+
+  std::vector<std::uint8_t> garbage(net::kHeaderSize, 0x58);  // "XXXX..."
+  ASSERT_TRUE(
+      net::send_all(sock.fd(), garbage.data(), garbage.size(), io).is_ok());
+  net::Frame reply;
+  ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
+  EXPECT_EQ(error_of(reply).code, net::WireCode::kMalformed);
+
+  // The stream cannot be resynchronised: the gateway closes after the
+  // error is flushed.
+  std::uint8_t byte = 0;
+  EXPECT_FALSE(net::recv_exact(sock.fd(), &byte, 1, io).is_ok());
+  gateway.stop();
+  EXPECT_EQ(gateway.stats().malformed_frames, 1u);
+}
+
+TEST(FleetGateway, SurvivesInjectedSendFailureMidPipeline) {
+  // The first reply send fails as a peer reset, so the connection is
+  // destroyed inside the frame loop with 63 pipelined frames unprocessed;
+  // the loop must re-look-up the connection instead of touching the
+  // destroyed one (the ASan job turns a regression into a crash).
+  Gateway gateway;
+  ASSERT_TRUE(gateway.start().is_ok());
+  const util::Deadline io = util::Deadline::after_seconds(5.0);
+  const std::vector<std::uint8_t> one =
+      net::encode_frame(net::MessageType::kPingReply, 9, 0, 0, {});
+  std::vector<std::uint8_t> burst;
+  for (int i = 0; i < 64; ++i)
+    burst.insert(burst.end(), one.begin(), one.end());
+  {
+    testing::FaultSpec spec;
+    spec.server_send_failures = 1;
+    const testing::ScopedFaultInjection fault(spec);
+    net::Socket sock;
+    ASSERT_TRUE(
+        net::connect_tcp("127.0.0.1", gateway.port(), 2000, &sock).is_ok());
+    timeval timeout{5, 0};
+    ASSERT_EQ(setsockopt(sock.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+              0);
+    ASSERT_TRUE(
+        net::send_all(sock.fd(), burst.data(), burst.size(), io).is_ok());
+    // The gateway drops this connection without replying; EOF (or a
+    // reset) proves the burst was processed before the hook is disarmed.
+    std::uint8_t sink[256];
+    ssize_t n = 0;
+    while ((n = ::recv(sock.fd(), sink, sizeof(sink), 0)) > 0) {
+    }
+    const int recv_errno = errno;
+    EXPECT_TRUE(n == 0 || recv_errno == ECONNRESET)
+        << "connection still open: recv errno " << recv_errno;
+  }
+  // The gateway comes through intact and still serving.
+  AuthClient client("127.0.0.1", gateway.port());
+  EXPECT_TRUE(client.ping().is_ok());
+  gateway.stop();
+}
+
+TEST(FleetGateway, SlowPeerIsDisconnectedAtBacklogBound) {
+  GatewayOptions go;
+  go.max_connection_backlog_bytes = 256;
+  Gateway gateway(go);
+  ASSERT_TRUE(gateway.start().is_ok());
+  const util::Deadline io = util::Deadline::after_seconds(10.0);
+
+  // Every gateway-side send reports EAGAIN, so PING replies pile up in the
+  // slow connection's outbound queue until the backlog bound cuts it.
+  struct SendBlock {
+    SendBlock() { util::FaultHooks::instance().server_send_block.store(true); }
+    ~SendBlock() {
+      util::FaultHooks::instance().server_send_block.store(false);
+    }
+  };
+  net::Socket slow;
+  {
+    const SendBlock blocked;
+    ASSERT_TRUE(
+        net::connect_tcp("127.0.0.1", gateway.port(), 2000, &slow).is_ok());
+    // One write for the whole burst: PING is answered on the loop, so the
+    // cut can land before a frame-by-frame sender has finished.
+    std::vector<std::uint8_t> burst;
+    for (std::uint64_t id = 1; id <= 10; ++id) {
+      const std::vector<std::uint8_t> f =
+          net::encode_frame(net::MessageType::kPingRequest, id, 0, 0,
+                            net::encode_ping_request(0));
+      burst.insert(burst.end(), f.begin(), f.end());
+    }
+    ASSERT_TRUE(
+        net::send_all(slow.fd(), burst.data(), burst.size(), io).is_ok());
+    const auto wait_until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (gateway.stats().slow_peer_disconnects == 0 &&
+           std::chrono::steady_clock::now() < wait_until)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(gateway.stats().slow_peer_disconnects, 1u);
+
+  // The loop never wedged: a healthy client is served.
+  AuthClient healthy("127.0.0.1", gateway.port());
+  EXPECT_TRUE(healthy.ping().is_ok());
+
+  // And the slow peer really was cut off.
+  net::Frame reply;
+  EXPECT_FALSE(net::read_frame(slow.fd(), &reply,
+                               util::Deadline::after_seconds(2.0))
+                   .is_ok());
+  gateway.stop();
 }
 
 // --- WAL-shipping standby --------------------------------------------------

@@ -871,7 +871,9 @@ int cmd_gateway(const std::vector<std::string>& args,
             << s.redirects_sent << " redirects, "
             << s.unavailable_rejections << " shard-unavailable, "
             << s.pins_created << " sessions pinned, "
-            << s.dropped_inflight << " dropped in-flight)\n";
+            << s.dropped_inflight << " dropped in-flight, "
+            << s.malformed_frames << " malformed, "
+            << s.slow_peer_disconnects << " slow-peer disconnects)\n";
   return 0;
 }
 
