@@ -1,6 +1,7 @@
 // Loopback load test of the authentication service (DESIGN.md §12).
 //
-// Three legs, all against in-process AuthServer instances on 127.0.0.1:
+// Seven legs, all against in-process AuthServer instances on 127.0.0.1
+// (legs 1, 3 and 5 serve a registry of one device):
 //
 //   1. Load: K = 4 concurrent AuthClients each issue R PREDICT requests
 //      (every one is two max-flow solves server-side), then one full
@@ -129,13 +130,36 @@ int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_server.json";
   const std::size_t requests_per_client = bench::scaled(30, 8);
 
-  std::cout << "fabricating n=" << kNodes << " instance and extracting the "
-            << "public model...\n";
+  std::cout << "enrolling an n=" << kNodes << " instance into a registry "
+            << "of one...\n";
   PpufParams params;
   params.node_count = kNodes;
   params.grid_size = kGrid;
-  MaxFlowPpuf puf(params, kFabricationSeed);
-  SimulationModel model(puf);
+  // Legs 1, 3 and 5 serve this one device.  Enrollment fabricates it from
+  // kFabricationSeed, so chips re-fabricated from that seed are its
+  // silicon, and `model` is its published model.
+  const std::filesystem::path solo_dir =
+      std::filesystem::temp_directory_path() / "ppuf_bench_solo";
+  std::filesystem::remove_all(solo_dir);
+  registry::DeviceRegistry solo;
+  std::uint64_t solo_id = 0;
+  SimulationModel model;
+  {
+    registry::EnrollRequest req;
+    req.node_count = kNodes;
+    req.grid_size = kGrid;
+    req.seed = kFabricationSeed;
+    req.label = "bench";
+    util::Status s = solo.open(solo_dir.string());
+    if (s.is_ok()) s = solo.enroll(req, &solo_id);
+    if (s.is_ok()) s = solo.load_model(solo_id, &model);
+    if (!s.is_ok()) {
+      std::cerr << "FATAL: enrollment failed: " << s.to_string() << "\n";
+      return 1;
+    }
+  }
+  net::ClientOptions solo_client;
+  solo_client.device_id = solo_id;
 
   const unsigned hw = util::ThreadPool::default_thread_count();
 
@@ -145,7 +169,7 @@ int main(int argc, char** argv) {
   so.max_inflight = 256;
   so.chain_length = 3;
   so.spot_checks = 2;
-  server::AuthServer srv(model, so);
+  server::AuthServer srv(solo, so);
   if (util::Status s = srv.start(); !s.is_ok()) {
     std::cerr << "FATAL: server start failed: " << s.to_string() << "\n";
     return 1;
@@ -169,7 +193,7 @@ int main(int argc, char** argv) {
   threads.reserve(kClients);
   for (unsigned k = 0; k < kClients; ++k) {
     threads.emplace_back([&, k] {
-      net::AuthClient client("127.0.0.1", srv.port());
+      net::AuthClient client("127.0.0.1", srv.port(), solo_client);
       util::Rng rng(100 + k);
       latencies[k].reserve(requests_per_client);
       for (std::size_t i = 0; i < requests_per_client; ++i) {
@@ -286,7 +310,7 @@ int main(int argc, char** argv) {
     server::AuthServerOptions tiny;
     tiny.threads = 1;
     tiny.max_inflight = 1;
-    server::AuthServer small(model, tiny);
+    server::AuthServer small(solo, tiny);
     if (util::Status s = small.start(); !s.is_ok()) {
       std::cerr << "FATAL: overload-leg server start failed: "
                 << s.to_string() << "\n";
@@ -430,7 +454,7 @@ int main(int argc, char** argv) {
     co.coalesce_wait_us = 200;
     co.response_cache_bytes =
         max_batch > 1 ? std::size_t{64} << 20 : std::size_t{0};
-    server::AuthServer csrv(model, co);
+    server::AuthServer csrv(solo, co);
     if (util::Status s = csrv.start(); !s.is_ok()) {
       std::cerr << "FATAL: coalescing server start failed: " << s.to_string()
                 << "\n";
@@ -444,7 +468,7 @@ int main(int argc, char** argv) {
     const auto c0 = std::chrono::steady_clock::now();
     for (unsigned k = 0; k < kCoalesceConnections; ++k) {
       conns.emplace_back([&, k] {
-        net::ClientOptions copts;
+        net::ClientOptions copts = solo_client;
         copts.pipeline_depth = kPipelineDepth;
         net::AuthClient client("127.0.0.1", csrv.port(), copts);
         std::vector<Challenge> window;
@@ -537,7 +561,7 @@ int main(int argc, char** argv) {
     sopt.coalesce_max_batch = 16;
     sopt.coalesce_wait_us = 200;
     sopt.response_cache_bytes = std::size_t{16} << 20;
-    server::AuthServer ssrv(model, sopt);
+    server::AuthServer ssrv(solo, sopt);
     if (util::Status s = ssrv.start(); !s.is_ok()) {
       std::cerr << "FATAL: soak server start failed: " << s.to_string()
                 << "\n";
@@ -569,6 +593,7 @@ int main(int argc, char** argv) {
     open_conns.clear();
     ssrv.stop();
   }
+  std::filesystem::remove_all(solo_dir);
   std::cout << "soak: " << soak_served << "/" << soak_target
             << " connections served and held open in "
             << util::Table::num(soak_seconds, 2) << " s, liveness probe "

@@ -113,10 +113,6 @@ class Device {
       const Challenge& first, std::size_t chain_length, std::uint64_t nonce,
       const protocol::ChainedReport& report, std::size_t spot_checks,
       util::Rng& rng) const = 0;
-
-  /// Escape hatch for max-flow-only callers (differential suites, the
-  /// single-model serve path).  Null for every other backend.
-  virtual const SimulationModel* sim_model() const { return nullptr; }
 };
 
 /// A backend: fabrication + blob validation + hydration for one PUF family.

@@ -79,8 +79,6 @@ class MaxFlowDevice final : public Device {
                                   nonce, report, spot_checks, rng);
   }
 
-  const SimulationModel* sim_model() const override { return &model_; }
-
  private:
   const SimulationModel model_;
   const protocol::Verifier verifier_;
@@ -149,11 +147,6 @@ util::Status MaxFlowBackend::materialize(
     return Status::internal("stored model blob has trailing bytes");
   *out = std::make_unique<MaxFlowDevice>(std::move(model), options);
   return Status::ok();
-}
-
-std::unique_ptr<Device> make_maxflow_device(
-    SimulationModel model, const MaterializeOptions& options) {
-  return std::make_unique<MaxFlowDevice>(std::move(model), options);
 }
 
 }  // namespace ppuf::backend

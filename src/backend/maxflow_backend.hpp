@@ -29,11 +29,4 @@ class MaxFlowBackend final : public PufBackend {
                            std::unique_ptr<Device>* out) const override;
 };
 
-/// Wrap an already-built model (the single-device serve path, which has no
-/// registry blob to materialise from).  The model is copied in; tolerance
-/// is `flow_tolerance_fraction * model.mean_capacity()` exactly as the
-/// registry hydration path computes it.
-std::unique_ptr<Device> make_maxflow_device(SimulationModel model,
-                                            const MaterializeOptions& options);
-
 }  // namespace ppuf::backend

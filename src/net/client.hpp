@@ -55,9 +55,9 @@ struct ClientOptions {
   int breaker_failure_threshold = 5;
   /// How long an open breaker waits before admitting a half-open probe.
   int breaker_cooldown_ms = 1000;
-  /// Registry device every request addresses (header field).
-  /// kDefaultDeviceId targets a single-device server's implicit model; a
-  /// registry-backed server answers it with UNKNOWN_DEVICE.
+  /// Registry device every request addresses (header field).  The
+  /// default, kDefaultDeviceId (0), is never a device: device requests
+  /// sent on it get UNKNOWN_DEVICE.
   std::uint64_t device_id = kDefaultDeviceId;
   /// Bound on outstanding requests in predict_pipelined (clamped to >= 1).
   /// 1 degenerates to one-at-a-time round trips; a deeper window is what

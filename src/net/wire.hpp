@@ -48,8 +48,10 @@ inline constexpr std::uint32_t kWireMagic =
     0x46555050u;  // 'P' 'P' 'U' 'F' little-endian
 inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kHeaderSize = 32;
-/// Header device id meaning "the single device this server was started
-/// with" — what every pre-registry client speaks.
+/// Header device id that is never a device: registries assign ids from 1,
+/// so a request that addresses a device gets UNKNOWN_DEVICE on it.  PING
+/// still answers (it is transport-level), and ENROLL reads it as "assign
+/// the next free id".
 inline constexpr std::uint64_t kDefaultDeviceId = 0;
 /// Hard payload bound; a forged length cannot make the server buffer more.
 inline constexpr std::uint32_t kMaxPayload = 16u * 1024 * 1024;

@@ -42,8 +42,8 @@
 namespace ppuf {
 
 /// Cache identity for callers operating on a single ad-hoc instance with
-/// no registry-assigned device id (benches, attack datasets, single-model
-/// serving).  Registry ids start at 1, so this can never collide.
+/// no registry-assigned device id (predict-batch, benches, attack
+/// datasets).  Registry ids start at 1, so this can never collide.
 inline constexpr std::uint64_t kSingleDeviceId = 0;
 
 /// What the cache stores for one (device, challenge, environment): the

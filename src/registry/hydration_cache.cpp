@@ -96,8 +96,7 @@ util::Status HydrationCache::get(
         std::unique_ptr<backend::Device> dev;
         status = impl->materialize(model_bytes, mopts, &dev);
         if (status.is_ok())
-          device = std::make_shared<const HydratedDevice>(
-              id, std::move(dev), options_.response_cache);
+          device = std::make_shared<const HydratedDevice>(id, std::move(dev));
       }
     }
   }

@@ -45,22 +45,14 @@ namespace ppuf::registry {
 /// stored blob by its tagged backend.  Immutable after construction;
 /// shared by reference count.
 struct HydratedDevice {
-  HydratedDevice(std::uint64_t id_, std::unique_ptr<backend::Device> device_,
-                 ResponseCache* response_cache_ = nullptr)
-      : id(id_),
-        device(std::move(device_)),
-        response_cache(response_cache_) {}
+  HydratedDevice(std::uint64_t id_, std::unique_ptr<backend::Device> device_)
+      : id(id_), device(std::move(device_)) {}
 
   HydratedDevice(const HydratedDevice&) = delete;
   HydratedDevice& operator=(const HydratedDevice&) = delete;
 
   const std::uint64_t id;
   const std::unique_ptr<backend::Device> device;
-  /// The fleet's shared CRP response cache, attached at materialisation
-  /// so every serving path that resolved this device already holds the
-  /// warm plane (keyed by the device's registry id — entries never cross
-  /// devices).  Non-owning; null when the deployment runs uncached.
-  ResponseCache* const response_cache;
 };
 
 class HydrationCache {
@@ -72,9 +64,6 @@ class HydrationCache {
     double verifier_deadline_seconds = 1.0;
     double flow_tolerance_fraction = 0.10;
     unsigned verify_threads = 1;
-    /// Shared device-keyed CRP cache handed to every hydrated device
-    /// (non-owning, must outlive the cache); null = serve uncached.
-    ResponseCache* response_cache = nullptr;
   };
 
   /// `registry` must outlive the cache.

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "backend/backend.hpp"
-#include "backend/maxflow_backend.hpp"
 #include "net/frame_server.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
@@ -46,95 +45,61 @@ WireCode wire_code_for(const Status& s) {
   }
 }
 
+/// Hydration-cache configuration for a server's options.
+registry::HydrationCache::Options hydration_options(
+    const AuthServerOptions& options) {
+  registry::HydrationCache::Options o;
+  o.max_entries = options.hydration_cache_entries;
+  o.verifier_deadline_seconds = options.verifier_deadline_seconds;
+  o.flow_tolerance_fraction = options.flow_tolerance_fraction;
+  o.verify_threads = 1;
+  return o;
+}
+
 }  // namespace
 
 /// The server's handler on the shared reactor: device resolution, the
-/// request handlers, and the coalescer.
+/// request handlers, and the coalescer.  Devices resolve through the
+/// registry via a bounded hydration cache.
 struct AuthServer::Impl final : net::FrameServer::Handler {
-  /// Single-device mode: one max-flow device, addressed as device 0.
-  Impl(const SimulationModel& model, const AuthServerOptions& options,
-       std::atomic<bool>& draining)
-      : options(options),
-        rng(options.challenge_seed),
-        reactor(*this, "server", "in-flight limit reached",
-                net::FrameServer::limits_of(options), draining) {
-    backend::MaterializeOptions mopts;
-    mopts.verifier_deadline_seconds = options.verifier_deadline_seconds;
-    mopts.flow_tolerance_fraction = options.flow_tolerance_fraction;
-    mopts.verify_threads = 1;
-    single_device = backend::make_maxflow_device(model, mopts);
-    if (options.response_cache_bytes > 0)
-      response_cache.emplace(options.response_cache_bytes);
-  }
-
-  /// Multi-tenant mode: devices resolve through the registry via a
-  /// bounded hydration cache.
   Impl(registry::DeviceRegistry& registry,
        const AuthServerOptions& options, std::atomic<bool>& draining)
-      : device_registry(&registry),
+      : device_registry(registry),
+        hydration(registry, hydration_options(options)),
         options(options),
         rng(options.challenge_seed),
         reactor(*this, "server", "in-flight limit reached",
                 net::FrameServer::limits_of(options), draining) {
     if (options.response_cache_bytes > 0)
       response_cache.emplace(options.response_cache_bytes);
-    registry::HydrationCache::Options cache_options;
-    cache_options.max_entries = options.hydration_cache_entries;
-    cache_options.verifier_deadline_seconds =
-        options.verifier_deadline_seconds;
-    cache_options.flow_tolerance_fraction = options.flow_tolerance_fraction;
-    cache_options.verify_threads = 1;
-    // Wired at materialisation: every hydrated device comes out of the
-    // cache already attached to the fleet's warm-response plane, so the
-    // coalesced predict path serves registry devices from the shared
-    // device-keyed cache without a second lookup layer.
-    cache_options.response_cache =
-        response_cache ? &*response_cache : nullptr;
-    hydration.emplace(registry, cache_options);
   }
 
   // --- shared state -------------------------------------------------------
 
-  /// Exactly one of these two is set.  The registry pointer is non-const:
-  /// ENROLL mutates it and WAL_FETCH exports from it (both registry-mode
-  /// only; the registry's own mutex serialises against other callers).
-  std::unique_ptr<backend::Device> single_device;
-  registry::DeviceRegistry* device_registry = nullptr;
+  /// Non-const: ENROLL mutates it and WAL_FETCH exports from it (the
+  /// registry's own mutex serialises against other callers).
+  registry::DeviceRegistry& device_registry;
+  registry::HydrationCache hydration;
   /// Shared device-keyed CRP cache for the coalesced predict path
-  /// (options.response_cache_bytes > 0).  Declared before `hydration`
-  /// because hydrated devices carry a pointer into it.
+  /// (options.response_cache_bytes > 0).
   std::optional<ResponseCache> response_cache;
-  std::optional<registry::HydrationCache> hydration;
 
   AuthServerOptions options;
 
-  /// What a handler works against once the frame's device id resolved:
-  /// a borrowed backend::Device, kept alive by `hold` in registry mode
-  /// (eviction from the hydration cache must not free a device
-  /// mid-request).  Every request path goes through this interface, so a
+  /// What a handler works against once the frame's device id resolved.
+  /// Holding the shared_ptr keeps the device alive for the request
+  /// (eviction from the hydration cache must not free it mid-request).
+  /// Every request path goes through the backend::Device interface, so a
   /// max-flow crossbar and a PDL chain serve through identical code.
-  struct DeviceContext {
-    const backend::Device* device = nullptr;
-    std::shared_ptr<const registry::HydratedDevice> hold;
-  };
+  using DeviceContext = std::shared_ptr<const registry::HydratedDevice>;
 
-  /// kNotFound when the id is unknown or revoked (mapped to a typed
+  /// kNotFound when the id is 0, unknown or revoked (mapped to a typed
   /// UNKNOWN_DEVICE reply by the caller).
   Status resolve_device(std::uint64_t device_id, DeviceContext* out) {
-    if (single_device != nullptr) {
-      if (device_id != net::kDefaultDeviceId)
-        return Status::not_found("single-device server; use device id 0");
-      out->device = single_device.get();
-      return Status::ok();
-    }
     if (device_id == net::kDefaultDeviceId)
       return Status::not_found(
           "registry-backed server requires an enrolled device id");
-    std::shared_ptr<const registry::HydratedDevice> device;
-    if (Status s = hydration->get(device_id, &device); !s.is_ok()) return s;
-    out->device = device->device.get();
-    out->hold = std::move(device);
-    return Status::ok();
+    return hydration.get(device_id, out);
   }
 
   /// The typed reply for a frame whose device id did not resolve.  An
@@ -208,31 +173,20 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
 
   /// Health snapshot carried in every PING reply (safe from any thread:
   /// all inputs are atomics, immutable options, or the registry behind
-  /// its own mutex).  Registry mode also reports the device count and
-  /// WAL position, so a gateway's health probe doubles as replication-lag
-  /// telemetry.
+  /// its own mutex).  It reports the device count and WAL position, so a
+  /// gateway's health probe doubles as replication-lag telemetry.
   net::HealthInfo health_info() const override {
     net::HealthInfo h = reactor.transport_health();
     h.requests_served = requests.load(std::memory_order_relaxed);
-    if (device_registry != nullptr) {
-      h.device_count = device_registry->device_count();
-      const registry::DeviceRegistry::WalPosition pos =
-          device_registry->wal_position();
-      h.wal_epoch = pos.epoch;
-      h.wal_offset = pos.offset;
-    }
+    h.device_count = device_registry.device_count();
+    const registry::DeviceRegistry::WalPosition pos =
+        device_registry.wal_position();
+    h.wal_epoch = pos.epoch;
+    h.wal_offset = pos.offset;
     return h;
   }
 
   // --- request handlers (worker threads) ----------------------------------
-
-  /// The response cache the coalesced predict path should use for `ctx`:
-  /// the pointer the device was hydrated with (registry mode), or the
-  /// server's own cache (single-device mode); null when disabled.
-  ResponseCache* cache_for(const DeviceContext& ctx) {
-    if (ctx.hold != nullptr) return ctx.hold->response_cache;
-    return response_cache ? &*response_cache : nullptr;
-  }
 
   /// Serve one coalesced device batch on a worker: resolve the device
   /// once, run predicts through predict_batch (device-keyed cache,
@@ -259,22 +213,16 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
 
 // --- lifecycle -------------------------------------------------------------
 
-AuthServer::AuthServer(const SimulationModel& model,
-                       AuthServerOptions options)
-    : model_(&model), options_(options) {}
-
 AuthServer::AuthServer(registry::DeviceRegistry& registry,
                        AuthServerOptions options)
-    : registry_(&registry), options_(options) {}
+    : registry_(registry), options_(options) {}
 
 AuthServer::~AuthServer() { stop(); }
 
 util::Status AuthServer::start() {
   if (running_.load(std::memory_order_acquire))
     return Status::invalid_argument("server already started");
-  impl_ = model_ != nullptr
-              ? std::make_unique<Impl>(*model_, options_, draining_)
-              : std::make_unique<Impl>(*registry_, options_, draining_);
+  impl_ = std::make_unique<Impl>(registry_, options_, draining_);
   if (Status s = impl_->reactor.start(&port_); !s.is_ok()) return s;
   running_.store(true, std::memory_order_release);
   return Status::ok();
@@ -507,13 +455,13 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_predict(
       !s.is_ok())
     return error_frame(frame.request_id, frame.device_id,
                        WireCode::kMalformed, s.message());
-  if (Status s = ctx.device->validate_challenge(challenge); !s.is_ok())
+  if (Status s = ctx->device->validate_challenge(challenge); !s.is_ok())
     return error_frame(frame.request_id, frame.device_id,
                        WireCode::kInvalidArgument, s.message());
   util::SolveControl control;
   control.deadline = deadline;
-  const SimulationModel::Prediction p = ctx.device->predict(challenge,
-                                                            control);
+  const SimulationModel::Prediction p =
+      ctx->device->predict(challenge, control);
   if (!p.ok())
     return error_frame(frame.request_id, frame.device_id,
                        wire_code_for(p.status), p.status.to_string());
@@ -536,7 +484,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_verify(
       !s.is_ok())
     return error_frame(frame.request_id, frame.device_id,
                        WireCode::kMalformed, s.message());
-  if (Status s = ctx.device->validate_challenge(challenge); !s.is_ok())
+  if (Status s = ctx->device->validate_challenge(challenge); !s.is_ok())
     return error_frame(frame.request_id, frame.device_id,
                        WireCode::kInvalidArgument, s.message());
   if (deadline.expired())
@@ -544,7 +492,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_verify(
                        WireCode::kDeadlineExceeded,
                        "budget expired before verification");
   const protocol::AuthenticationResult result =
-      ctx.device->verify(challenge, report);
+      ctx->device->verify(challenge, report);
   return net::encode_frame(MessageType::kVerifyReply, frame.request_id,
                            frame.device_id, 0,
                            net::encode_verify_reply(result));
@@ -565,7 +513,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_verify_batch(
     return error_frame(frame.request_id, frame.device_id,
                        WireCode::kMalformed, s.message());
   for (const Challenge& c : challenges)
-    if (Status s = ctx.device->validate_challenge(c); !s.is_ok())
+    if (Status s = ctx->device->validate_challenge(c); !s.is_ok())
       return error_frame(frame.request_id, frame.device_id,
                          WireCode::kInvalidArgument, s.message());
   // Items run inline on this worker (no nested pool dispatch); the budget
@@ -578,7 +526,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_verify_batch(
                          WireCode::kDeadlineExceeded,
                          "budget expired at batch item " +
                              std::to_string(i));
-    results.push_back(ctx.device->verify(challenges[i], reports[i]));
+    results.push_back(ctx->device->verify(challenges[i], reports[i]));
   }
   return net::encode_frame(MessageType::kVerifyBatchReply, frame.request_id,
                            frame.device_id, 0,
@@ -598,11 +546,11 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_challenge(
   net::ChallengeGrant grant;
   {
     std::lock_guard<std::mutex> lock(rng_mutex);
-    grant.challenge = ctx.device->issue_challenge(rng);
+    grant.challenge = ctx->device->issue_challenge(rng);
     grant.nonce = rng();
   }
   grant.chain_length = options.chain_length;
-  grant.deadline_seconds = ctx.device->deadline_seconds();
+  grant.deadline_seconds = ctx->device->deadline_seconds();
   return net::encode_frame(MessageType::kChallengeReply, frame.request_id,
                            frame.device_id, 0,
                            net::encode_challenge_reply(grant));
@@ -621,7 +569,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_chained_auth(
       !s.is_ok())
     return error_frame(frame.request_id, frame.device_id,
                        WireCode::kMalformed, s.message());
-  if (Status s = ctx.device->validate_challenge(request.grant.challenge);
+  if (Status s = ctx->device->validate_challenge(request.grant.challenge);
       !s.is_ok())
     return error_frame(frame.request_id, frame.device_id,
                        WireCode::kInvalidArgument, s.message());
@@ -639,7 +587,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_chained_auth(
     std::lock_guard<std::mutex> lock(rng_mutex);
     spot_rng = rng.fork();
   }
-  const protocol::ChainedVerifyResult result = ctx.device->verify_chain(
+  const protocol::ChainedVerifyResult result = ctx->device->verify_chain(
       request.grant.challenge, request.grant.chain_length,
       request.grant.nonce, request.report, options.spot_checks, spot_rng);
   return net::encode_frame(MessageType::kChainedAuthReply, frame.request_id,
@@ -651,10 +599,6 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_enroll(
     const Frame& frame) {
   obs::ScopedTimer timer(obs::MetricsRegistry::global(),
                          "server.enroll.request_us");
-  if (device_registry == nullptr)
-    return error_frame(frame.request_id, frame.device_id,
-                       WireCode::kInvalidArgument,
-                       "enrollment requires a registry-backed server");
   net::EnrollRequestBody body;
   if (Status s = net::decode_enroll_request(frame.payload, &body);
       !s.is_ok())
@@ -677,7 +621,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_enroll(
   // next free) so the gateway routes ENROLL like every other frame.
   request.device_id = frame.device_id;
   std::uint64_t assigned = 0;
-  if (Status s = device_registry->enroll(request, &assigned); !s.is_ok())
+  if (Status s = device_registry.enroll(request, &assigned); !s.is_ok())
     return error_frame(frame.request_id, frame.device_id,
                        wire_code_for(s), s.message());
   enrolls_served.fetch_add(1, std::memory_order_relaxed);
@@ -691,10 +635,6 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_wal_fetch(
     const Frame& frame) {
   obs::ScopedTimer timer(obs::MetricsRegistry::global(),
                          "server.wal_fetch.request_us");
-  if (device_registry == nullptr)
-    return error_frame(frame.request_id, frame.device_id,
-                       WireCode::kInvalidArgument,
-                       "WAL shipping requires a registry-backed server");
   net::WalFetchRequestBody request;
   if (Status s = net::decode_wal_fetch_request(frame.payload, &request);
       !s.is_ok())
@@ -709,7 +649,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_wal_fetch(
   max_bytes = std::min(max_bytes, kMaxSegment);
   net::WalSegmentBody reply;
   bool stale = false;
-  if (Status s = device_registry->read_wal_segment(
+  if (Status s = device_registry.read_wal_segment(
           request.epoch, request.offset, max_bytes, &reply.bytes, &stale);
       !s.is_ok())
     return error_frame(frame.request_id, frame.device_id,
@@ -720,7 +660,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_wal_fetch(
     // bootstrap snapshot and the position it corresponds to.
     reply.bytes.clear();
     registry::DeviceRegistry::WalPosition pos;
-    if (Status s = device_registry->export_bootstrap(&reply.bytes, &pos);
+    if (Status s = device_registry.export_bootstrap(&reply.bytes, &pos);
         !s.is_ok())
       return error_frame(frame.request_id, frame.device_id,
                          wire_code_for(s), s.message());
@@ -776,7 +716,7 @@ void AuthServer::Impl::run_batch(std::uint64_t device_id,
                                      WireCode::kMalformed, s.message());
             continue;
           }
-          if (Status s = ctx.device->validate_challenge(c); !s.is_ok()) {
+          if (Status s = ctx->device->validate_challenge(c); !s.is_ok()) {
             replies[i] = error_frame(frame.request_id, frame.device_id,
                                      WireCode::kInvalidArgument,
                                      s.message());
@@ -792,7 +732,7 @@ void AuthServer::Impl::run_batch(std::uint64_t device_id,
                                      WireCode::kMalformed, s.message());
             continue;
           }
-          if (Status s = ctx.device->validate_challenge(c); !s.is_ok()) {
+          if (Status s = ctx->device->validate_challenge(c); !s.is_ok()) {
             replies[i] = error_frame(frame.request_id, frame.device_id,
                                      WireCode::kInvalidArgument,
                                      s.message());
@@ -807,7 +747,7 @@ void AuthServer::Impl::run_batch(std::uint64_t device_id,
         SimulationModel::PredictBatchOptions popts;
         popts.algorithm = maxflow::Algorithm::kPushRelabel;
         popts.thread_count = 1;  // inline: this IS a pool worker already
-        popts.cache = cache_for(ctx);
+        popts.cache = response_cache ? &*response_cache : nullptr;
         popts.cache_device_id = device_id;
         popts.deadlines.reserve(predicts.size());
         for (const PredictSlot& slot : predicts) {
@@ -815,7 +755,7 @@ void AuthServer::Impl::run_batch(std::uint64_t device_id,
           popts.deadlines.push_back(items[slot.item].deadline);
         }
         const std::vector<SimulationModel::Prediction> preds =
-            ctx.device->predict_batch(challenges, popts);
+            ctx->device->predict_batch(challenges, popts);
         for (std::size_t k = 0; k < predicts.size(); ++k) {
           const std::size_t i = predicts[k].item;
           const Frame& frame = items[i].frame;
@@ -853,7 +793,7 @@ void AuthServer::Impl::run_batch(std::uint64_t device_id,
           protocol::Verifier::BatchVerifyOptions vopts;
           vopts.thread_count = 1;  // inline on this worker
           const std::vector<protocol::AuthenticationResult> results =
-              ctx.device->verify_batch(vc, vr, vopts);
+              ctx->device->verify_batch(vc, vr, vopts);
           for (std::size_t k = 0; k < live.size(); ++k) {
             const Frame& frame = items[live[k]].frame;
             replies[live[k]] = net::encode_frame(

@@ -2,9 +2,10 @@
 //
 // A public PUF is a client/server primitive by construction — the prover
 // owns the chip, the verifier owns only the published model — so this
-// server is the missing half of the reproduction: it loads a
-// SimulationModel and serves PREDICT / VERIFY / VERIFY_BATCH / CHALLENGE /
-// CHAINED_AUTH over the framed wire protocol of net/wire.
+// server is the missing half of the reproduction: it serves the devices
+// published in a registry::DeviceRegistry — PREDICT / VERIFY /
+// VERIFY_BATCH / CHALLENGE / CHAINED_AUTH, plus ENROLL and WAL_FETCH —
+// over the framed wire protocol of net/wire.
 //
 // Threading model (DESIGN.md §12): the server is a handler on
 // net::FrameServer, the reactor it shares with the fleet gateway.
@@ -36,10 +37,10 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
-#include "ppuf/sim_model.hpp"
 #include "util/status.hpp"
 
 namespace ppuf::registry {
@@ -63,11 +64,11 @@ struct AuthServerOptions {
   std::size_t spot_checks = 2;     ///< chained rounds fully verified (0=all)
   /// Seed of the challenge-issuing RNG.  Callers MUST set this to an
   /// unpredictable value: a guessable seed means guessable challenges,
-  /// which collapses the protocol (ppuf_tool refuses to serve a single
-  /// device without an explicit seed for exactly this reason).
+  /// which collapses the protocol (ppuf_tool serve draws one from the OS
+  /// entropy pool unless --seed pins it).
   std::uint64_t challenge_seed = 1;
-  /// Registry mode only: bound on concurrently materialised devices (the
-  /// hydration cache's LRU size).
+  /// Bound on concurrently materialised devices (the hydration cache's
+  /// LRU size).
   std::size_t hydration_cache_entries = 8;
   /// Upper bound accepted for a client-echoed grant's chain length — the
   /// verification cost is k solves, so k is adversary-controlled work.
@@ -101,19 +102,13 @@ struct AuthServerOptions {
 
 class AuthServer {
  public:
-  /// Single-device mode: serve exactly one model, addressed on the wire
-  /// as device id 0 (net::kDefaultDeviceId).  `model` must outlive the
-  /// server.
-  AuthServer(const SimulationModel& model, AuthServerOptions options = {});
-
-  /// Multi-tenant mode: serve every active device enrolled in `registry`,
-  /// addressed by its registry id; unknown or revoked ids get a typed
-  /// UNKNOWN_DEVICE reply (and so does id 0 — there is no implicit device
-  /// in this mode).  Models are materialised on demand through a bounded
-  /// hydration cache.  `registry` must outlive the server.  Non-const
-  /// because this mode also serves ENROLL (network enrollment) and
-  /// WAL_FETCH (standby replication) frames, which mutate/export the
-  /// registry; both are refused with a typed error in single-device mode.
+  /// Serve every active device enrolled in `registry`, addressed by its
+  /// registry id; unknown or revoked ids get a typed UNKNOWN_DEVICE reply,
+  /// and so does id 0, which is never a device (PING still answers on
+  /// it).  Models are materialised on demand through a bounded hydration
+  /// cache.  `registry` must outlive the server.  Non-const because the
+  /// server also serves ENROLL (network enrollment) and WAL_FETCH
+  /// (standby replication) frames, which mutate/export the registry.
   AuthServer(registry::DeviceRegistry& registry,
              AuthServerOptions options = {});
   ~AuthServer();
@@ -160,8 +155,7 @@ class AuthServer {
  private:
   struct Impl;
 
-  const SimulationModel* model_ = nullptr;    ///< single-device mode
-  registry::DeviceRegistry* registry_ = nullptr;  ///< registry mode
+  registry::DeviceRegistry& registry_;
   AuthServerOptions options_;
   std::unique_ptr<Impl> impl_;
   std::uint16_t port_ = 0;

@@ -72,6 +72,43 @@ AuthServerOptions default_options() {
   return o;
 }
 
+/// Fresh registry directory under the test temp dir.
+std::string fresh_registry_dir(const char* name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
+/// Enroll a small device and return its id.  The enrollment seed fully
+/// determines the fabricated instance, so tests can build the matching
+/// "chip" locally as MaxFlowPpuf(params, seed).
+std::uint64_t enroll_small(registry::DeviceRegistry& reg, std::uint64_t seed,
+                           const std::string& label) {
+  registry::EnrollRequest req;
+  req.node_count = small_params().node_count;
+  req.grid_size = small_params().grid_size;
+  req.seed = seed;
+  req.label = label;
+  std::uint64_t id = 0;
+  EXPECT_TRUE(reg.enroll(req, &id).is_ok());
+  return id;
+}
+
+AuthClient client_for_device(std::uint16_t port, std::uint64_t device_id) {
+  net::ClientOptions o;
+  o.device_id = device_id;
+  return AuthClient("127.0.0.1", port, o);
+}
+
+/// A registry of one: a fresh registry named `name` holding the shared
+/// device (small_params(), kSeed — the silicon shared_puf() holds, whose
+/// published model is shared_model()).  Returns its device id.
+std::uint64_t enroll_shared(registry::DeviceRegistry& reg, const char* name) {
+  EXPECT_TRUE(reg.open(fresh_registry_dir(name)).is_ok());
+  return enroll_small(reg, kSeed, "shared");
+}
+
 /// Read one whole frame from a raw blocking socket.
 Status read_frame(int fd, const util::Deadline& deadline, Frame* out) {
   std::vector<std::uint8_t> buf(net::kHeaderSize);
@@ -108,7 +145,9 @@ WireCode error_code_of(const Frame& reply) {
 }
 
 TEST(AuthServer, BindsEphemeralPortAndStops) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  enroll_shared(reg, "authsrv_bind");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
   EXPECT_NE(srv.port(), 0);
   EXPECT_TRUE(srv.running());
@@ -117,9 +156,11 @@ TEST(AuthServer, BindsEphemeralPortAndStops) {
 }
 
 TEST(AuthServer, PingReportsHealthPayload) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_ping");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
-  AuthClient client("127.0.0.1", srv.port());
+  AuthClient client = client_for_device(srv.port(), device_id);
   net::HealthInfo health;
   ASSERT_TRUE(client.ping(0, {}, &health).is_ok());
   EXPECT_EQ(health.draining, 0);
@@ -134,9 +175,11 @@ TEST(AuthServer, PingReportsHealthPayload) {
 }
 
 TEST(AuthServer, PredictMatchesLocalModel) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_predict");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
-  AuthClient client("127.0.0.1", srv.port());
+  AuthClient client = client_for_device(srv.port(), device_id);
   util::Rng rng(21);
   for (int i = 0; i < 5; ++i) {
     const Challenge c = random_challenge(shared_model().layout(), rng);
@@ -151,9 +194,11 @@ TEST(AuthServer, PredictMatchesLocalModel) {
 }
 
 TEST(AuthServer, VerifyAcceptsHonestRejectsTampered) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_verify");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
-  AuthClient client("127.0.0.1", srv.port());
+  AuthClient client = client_for_device(srv.port(), device_id);
   util::Rng rng(22);
   const Challenge c = random_challenge(shared_model().layout(), rng);
   const protocol::ProverReport honest =
@@ -171,9 +216,11 @@ TEST(AuthServer, VerifyAcceptsHonestRejectsTampered) {
 }
 
 TEST(AuthServer, VerifyBatchKeepsItemOrder) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_verify_batch");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
-  AuthClient client("127.0.0.1", srv.port());
+  AuthClient client = client_for_device(srv.port(), device_id);
   util::Rng rng(23);
   std::vector<Challenge> challenges;
   std::vector<protocol::ProverReport> reports;
@@ -194,9 +241,11 @@ TEST(AuthServer, VerifyBatchKeepsItemOrder) {
 }
 
 TEST(AuthServer, ChainedAuthAcceptsHolderRejectsWrongChip) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_chained");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
-  AuthClient client("127.0.0.1", srv.port());
+  AuthClient client = client_for_device(srv.port(), device_id);
 
   net::ChallengeGrant grant;
   ASSERT_TRUE(client.get_challenge(&grant).is_ok());
@@ -222,9 +271,11 @@ TEST(AuthServer, ChainedAuthAcceptsHolderRejectsWrongChip) {
 }
 
 TEST(AuthServer, InvalidChallengeIsTypedInvalidArgument) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_invalid");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
-  AuthClient client("127.0.0.1", srv.port());
+  AuthClient client = client_for_device(srv.port(), device_id);
   Challenge bad;
   bad.source = 0;
   bad.sink = 9999;  // out of range for a 16-node model
@@ -236,7 +287,9 @@ TEST(AuthServer, InvalidChallengeIsTypedInvalidArgument) {
 }
 
 TEST(AuthServer, DeadlineExpiryYieldsTypedReplyOnLiveConnection) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_deadline");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
   net::Socket sock;
   ASSERT_TRUE(
@@ -246,7 +299,8 @@ TEST(AuthServer, DeadlineExpiryYieldsTypedReplyOnLiveConnection) {
   // budget_ms = 25 while the handler is asked to hold the request 1000 ms:
   // the budget expires mid-work and must yield a typed error reply.
   const std::vector<std::uint8_t> request = net::encode_frame(
-      MessageType::kPingRequest, 50, 0, 25, net::encode_ping_request(1000));
+      MessageType::kPingRequest, 50, device_id, 25,
+      net::encode_ping_request(1000));
   ASSERT_TRUE(
       net::send_all(sock.fd(), request.data(), request.size(), io).is_ok());
   Frame reply;
@@ -256,7 +310,8 @@ TEST(AuthServer, DeadlineExpiryYieldsTypedReplyOnLiveConnection) {
 
   // Not a dropped connection: the next request on the same socket works.
   const std::vector<std::uint8_t> followup = net::encode_frame(
-      MessageType::kPingRequest, 51, 0, 0, net::encode_ping_request(0));
+      MessageType::kPingRequest, 51, device_id, 0,
+      net::encode_ping_request(0));
   ASSERT_TRUE(
       net::send_all(sock.fd(), followup.data(), followup.size(), io)
           .is_ok());
@@ -270,7 +325,9 @@ TEST(AuthServer, OverloadYieldsTypedRepliesWithoutBlockingAcceptor) {
   AuthServerOptions tiny = default_options();
   tiny.threads = 1;
   tiny.max_inflight = 1;
-  AuthServer srv(shared_model(), tiny);
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_overload");
+  AuthServer srv(reg, tiny);
   ASSERT_TRUE(srv.start().is_ok());
   net::Socket sock;
   ASSERT_TRUE(
@@ -282,7 +339,8 @@ TEST(AuthServer, OverloadYieldsTypedRepliesWithoutBlockingAcceptor) {
   std::vector<std::uint8_t> burst;
   for (std::uint64_t id = 1; id <= 3; ++id) {
     const std::vector<std::uint8_t> f = net::encode_frame(
-        MessageType::kPingRequest, id, 0, 0, net::encode_ping_request(300));
+        MessageType::kPingRequest, id, device_id, 0,
+        net::encode_ping_request(300));
     burst.insert(burst.end(), f.begin(), f.end());
   }
   ASSERT_TRUE(
@@ -302,7 +360,7 @@ TEST(AuthServer, OverloadYieldsTypedRepliesWithoutBlockingAcceptor) {
 
   // While the admission bound was doing its job the acceptor stayed live:
   // a second connection gets served immediately afterwards.
-  AuthClient client("127.0.0.1", srv.port());
+  AuthClient client = client_for_device(srv.port(), device_id);
   EXPECT_TRUE(client.ping().is_ok());
   srv.stop();
   EXPECT_EQ(srv.stats().overloaded_rejections, 2u);
@@ -312,13 +370,15 @@ TEST(AuthServer, ClientRetriesThroughOverload) {
   AuthServerOptions tiny = default_options();
   tiny.threads = 1;
   tiny.max_inflight = 1;
-  AuthServer srv(shared_model(), tiny);
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_retries");
+  AuthServer srv(reg, tiny);
   ASSERT_TRUE(srv.start().is_ok());
 
   // Thread A parks the only worker; B's first attempt is rejected typed
   // OVERLOADED, then backoff + retry succeed once the worker frees up.
   std::thread occupant([&] {
-    AuthClient a("127.0.0.1", srv.port());
+    AuthClient a = client_for_device(srv.port(), device_id);
     EXPECT_TRUE(a.ping(150).is_ok());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -327,6 +387,7 @@ TEST(AuthServer, ClientRetriesThroughOverload) {
   retrying.max_attempts = 10;
   retrying.backoff_initial_ms = 20;
   retrying.backoff_max_ms = 100;
+  retrying.device_id = device_id;
   AuthClient b("127.0.0.1", srv.port(), retrying);
   EXPECT_TRUE(b.ping().is_ok());
   EXPECT_GE(b.stats().retries, 1u);
@@ -335,7 +396,9 @@ TEST(AuthServer, ClientRetriesThroughOverload) {
 }
 
 TEST(AuthServer, DrainRejectsNewFinishesInflight) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_drain");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
   net::Socket sock;
   ASSERT_TRUE(
@@ -344,7 +407,8 @@ TEST(AuthServer, DrainRejectsNewFinishesInflight) {
 
   // In-flight work before the drain begins...
   const std::vector<std::uint8_t> slow = net::encode_frame(
-      MessageType::kPingRequest, 1, 0, 0, net::encode_ping_request(300));
+      MessageType::kPingRequest, 1, device_id, 0,
+      net::encode_ping_request(300));
   ASSERT_TRUE(
       net::send_all(sock.fd(), slow.data(), slow.size(), io).is_ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -354,12 +418,13 @@ TEST(AuthServer, DrainRejectsNewFinishesInflight) {
   // ...must finish; new *work* must be answered typed SHUTTING_DOWN
   // (PING is exempt: readiness probes are served inline during a drain).
   const std::vector<std::uint8_t> late = net::encode_frame(
-      MessageType::kChallengeRequest, 2, 0, 0,
+      MessageType::kChallengeRequest, 2, device_id, 0,
       net::encode_challenge_request());
   ASSERT_TRUE(
       net::send_all(sock.fd(), late.data(), late.size(), io).is_ok());
   const std::vector<std::uint8_t> probe = net::encode_frame(
-      MessageType::kPingRequest, 3, 0, 0, net::encode_ping_request(0));
+      MessageType::kPingRequest, 3, device_id, 0,
+      net::encode_ping_request(0));
   ASSERT_TRUE(
       net::send_all(sock.fd(), probe.data(), probe.size(), io).is_ok());
 
@@ -394,7 +459,9 @@ TEST(AuthServer, DrainRejectsNewFinishesInflight) {
 }
 
 TEST(AuthServer, MalformedStreamGetsTypedErrorThenClose) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  enroll_shared(reg, "authsrv_malformed");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
   net::Socket sock;
   ASSERT_TRUE(
@@ -417,7 +484,9 @@ TEST(AuthServer, MalformedStreamGetsTypedErrorThenClose) {
 }
 
 TEST(AuthServer, NonRequestTypeGetsTypedUnsupported) {
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_unsupported");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
   net::Socket sock;
   ASSERT_TRUE(
@@ -426,7 +495,7 @@ TEST(AuthServer, NonRequestTypeGetsTypedUnsupported) {
   // A well-framed message whose type is a *reply*: framing survives, the
   // dispatcher rejects it typed.
   const std::vector<std::uint8_t> bogus =
-      net::encode_frame(MessageType::kPingReply, 3, 0, 0, {});
+      net::encode_frame(MessageType::kPingReply, 3, device_id, 0, {});
   ASSERT_TRUE(
       net::send_all(sock.fd(), bogus.data(), bogus.size(), io).is_ok());
   Frame reply;
@@ -442,11 +511,13 @@ TEST(AuthServer, SurvivesInjectedSendFailureMidPipeline) {
   // 63 pipelined frames still unprocessed.  The loop must re-look-up the
   // connection instead of touching the destroyed one (the ASan CI job
   // turns any regression into a crash).
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_send_failure");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
   const util::Deadline io = util::Deadline::after_seconds(5.0);
   const std::vector<std::uint8_t> one =
-      net::encode_frame(MessageType::kPingReply, 9, 0, 0, {});
+      net::encode_frame(MessageType::kPingReply, 9, device_id, 0, {});
   std::vector<std::uint8_t> burst;
   for (int i = 0; i < 64; ++i)
     burst.insert(burst.end(), one.begin(), one.end());
@@ -467,7 +538,7 @@ TEST(AuthServer, SurvivesInjectedSendFailureMidPipeline) {
     }
   }
   // The server must come through intact and still serving.
-  AuthClient client("127.0.0.1", srv.port());
+  AuthClient client = client_for_device(srv.port(), device_id);
   EXPECT_TRUE(client.ping().is_ok());
   srv.stop();
 }
@@ -479,11 +550,13 @@ TEST(AuthServer, SurvivesPipelinedFramesWithAbruptReset) {
   // produce their error replies synchronously on the event loop, so an
   // RST racing the reply burst exercises exactly that path (the ASan CI
   // job turns any regression into a crash).
-  AuthServer srv(shared_model(), default_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_abrupt_reset");
+  AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
   const util::Deadline io = util::Deadline::after_seconds(5.0);
   const std::vector<std::uint8_t> one =
-      net::encode_frame(MessageType::kPingReply, 9, 0, 0, {});
+      net::encode_frame(MessageType::kPingReply, 9, device_id, 0, {});
   std::vector<std::uint8_t> burst;
   for (int i = 0; i < 64; ++i)
     burst.insert(burst.end(), one.begin(), one.end());
@@ -499,7 +572,7 @@ TEST(AuthServer, SurvivesPipelinedFramesWithAbruptReset) {
     setsockopt(sock.fd(), SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
   }  // ~Socket closes the fd here
   // The server must come through intact and still serving.
-  AuthClient client("127.0.0.1", srv.port());
+  AuthClient client = client_for_device(srv.port(), device_id);
   EXPECT_TRUE(client.ping().is_ok());
   srv.stop();
 }
@@ -535,35 +608,6 @@ TEST(AuthServer, RetryBackoffRespectsDeadline) {
 
 // ---------------------------------------------------------------------------
 // Multi-tenant mode: one server fronting a DeviceRegistry.
-
-/// Fresh registry directory under the test temp dir.
-std::string fresh_registry_dir(const char* name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
-/// Enroll a small device and return its id.  The enrollment seed fully
-/// determines the fabricated instance, so tests can build the matching
-/// "chip" locally as MaxFlowPpuf(params, seed).
-std::uint64_t enroll_small(registry::DeviceRegistry& reg, std::uint64_t seed,
-                           const std::string& label) {
-  registry::EnrollRequest req;
-  req.node_count = small_params().node_count;
-  req.grid_size = small_params().grid_size;
-  req.seed = seed;
-  req.label = label;
-  std::uint64_t id = 0;
-  EXPECT_TRUE(reg.enroll(req, &id).is_ok());
-  return id;
-}
-
-AuthClient client_for_device(std::uint16_t port, std::uint64_t device_id) {
-  net::ClientOptions o;
-  o.device_id = device_id;
-  return AuthClient("127.0.0.1", port, o);
-}
 
 /// Run one full chained authentication against `port` as `device_id`,
 /// proving with `chip`.  Returns the transport status; *verdict reports
@@ -826,9 +870,11 @@ TEST(AuthServer, PublishesMetricsWhenRegistryEnabled) {
   reg.set_enabled(true);
   reg.reset();
   {
-    AuthServer srv(shared_model(), default_options());
+    registry::DeviceRegistry devices;
+    const std::uint64_t device_id = enroll_shared(devices, "authsrv_metrics");
+    AuthServer srv(devices, default_options());
     ASSERT_TRUE(srv.start().is_ok());
-    AuthClient client("127.0.0.1", srv.port());
+    AuthClient client = client_for_device(srv.port(), device_id);
     ASSERT_TRUE(client.ping().is_ok());
     srv.stop();
   }

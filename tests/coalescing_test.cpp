@@ -161,12 +161,31 @@ std::uint64_t enroll_small(registry::DeviceRegistry& reg, std::uint64_t seed,
   return id;
 }
 
+/// A registry of one: a fresh registry named `name` holding the shared
+/// device (small_params(), kSeed — the silicon shared_puf() holds, whose
+/// published model is shared_model()).  Returns its device id.
+std::uint64_t enroll_shared(registry::DeviceRegistry& reg, const char* name) {
+  EXPECT_TRUE(reg.open(fresh_registry_dir(name)).is_ok());
+  return enroll_small(reg, kSeed, "shared");
+}
+
 AuthClient pipelined_client(std::uint16_t port, std::uint64_t device_id,
                             int depth) {
   net::ClientOptions o;
   o.device_id = device_id;
   o.pipeline_depth = depth;
   return AuthClient("127.0.0.1", port, o);
+}
+
+/// One PREDICT before a timing-sensitive step, so neither the server's
+/// first-use hydration of the device nor the first build of
+/// shared_model() lands inside the step's timing.
+void warm_device(std::uint16_t port, std::uint64_t device_id) {
+  util::Rng rng(1);
+  SimulationModel::Prediction p;
+  ASSERT_TRUE(pipelined_client(port, device_id, 1)
+                  .predict(random_challenge(shared_model().layout(), rng), &p)
+                  .is_ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -286,8 +305,11 @@ TEST(Coalescing, MidBatchDeadlineExpiryDoesNotPoisonBatchMates) {
   o.threads = 1;  // a single worker, parked on purpose
   o.coalesce_max_batch = 8;
   o.coalesce_wait_us = 50'000;
-  AuthServer srv(shared_model(), o);
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "coalesce_mid_batch");
+  AuthServer srv(reg, o);
   ASSERT_TRUE(srv.start().is_ok());
+  warm_device(srv.port(), device_id);
   const util::Deadline io = util::Deadline::after_seconds(10.0);
 
   // Park the only worker for 150 ms so the batch window closes (50 ms)
@@ -296,7 +318,8 @@ TEST(Coalescing, MidBatchDeadlineExpiryDoesNotPoisonBatchMates) {
   ASSERT_TRUE(
       net::connect_tcp("127.0.0.1", srv.port(), 2000, &parker).is_ok());
   const std::vector<std::uint8_t> park = net::encode_frame(
-      MessageType::kPingRequest, 99, 0, 0, net::encode_ping_request(150));
+      MessageType::kPingRequest, 99, device_id, 0,
+      net::encode_ping_request(150));
   ASSERT_TRUE(
       net::send_all(parker.fd(), park.data(), park.size(), io).is_ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -316,7 +339,7 @@ TEST(Coalescing, MidBatchDeadlineExpiryDoesNotPoisonBatchMates) {
        std::vector<std::pair<std::uint64_t, std::uint32_t>>{
            {1, 0}, {2, 70}, {3, 0}}) {
     const std::vector<std::uint8_t> f = net::encode_frame(
-        MessageType::kPredictRequest, id, 0, budget_ms, payload);
+        MessageType::kPredictRequest, id, device_id, budget_ms, payload);
     burst.insert(burst.end(), f.begin(), f.end());
   }
   ASSERT_TRUE(
@@ -350,6 +373,97 @@ TEST(Coalescing, MidBatchDeadlineExpiryDoesNotPoisonBatchMates) {
 }
 
 // ---------------------------------------------------------------------------
+// Unresolvable devices: a coalesced batch whose device id does not resolve
+// answers every parked item typed, beside a healthy batch.
+
+TEST(Coalescing, UnknownDeviceBatchesAnswerEveryItemTyped) {
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "coalesce_unknown");
+  SimulationModel model;
+  ASSERT_TRUE(reg.load_model(device_id, &model).is_ok());
+  AuthServer srv(reg, coalescing_options());
+  ASSERT_TRUE(srv.start().is_ok());
+  const util::Deadline io = util::Deadline::after_seconds(10.0);
+
+  util::Rng rng(44);
+  std::vector<Challenge> challenges;
+  for (int i = 0; i < 3; ++i)
+    challenges.push_back(random_challenge(model.layout(), rng));
+  const protocol::ProverReport honest =
+      protocol::prove_with_ppuf(shared_puf(), challenges[0], kChipDelay);
+
+  // One pipelined burst: PREDICT and VERIFY for id 0 (never a device) and
+  // for a never-enrolled id, interleaved with PREDICTs for the enrolled
+  // device.  Unlimited budgets, so every frame parks in a batch.
+  constexpr std::uint64_t kUnknownId = 999;
+  struct Item {
+    std::uint64_t device;
+    bool verify;
+    std::size_t challenge;
+  };
+  const std::vector<Item> items = {
+      {device_id, false, 0}, {0, false, 0},          {0, true, 0},
+      {kUnknownId, false, 1}, {device_id, false, 1}, {kUnknownId, true, 0},
+      {device_id, false, 2},
+  };
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const Challenge& c = challenges[items[i].challenge];
+    const std::vector<std::uint8_t> f =
+        items[i].verify
+            ? net::encode_frame(MessageType::kVerifyRequest, i + 1,
+                                items[i].device, 0,
+                                net::encode_verify_request(c, honest))
+            : net::encode_frame(MessageType::kPredictRequest, i + 1,
+                                items[i].device, 0,
+                                net::encode_predict_request(c));
+    burst.insert(burst.end(), f.begin(), f.end());
+  }
+  net::Socket sock;
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", srv.port(), 2000, &sock).is_ok());
+  ASSERT_TRUE(
+      net::send_all(sock.fd(), burst.data(), burst.size(), io).is_ok());
+
+  std::size_t rejected = 0, served = 0;
+  for (std::size_t n = 0; n < items.size(); ++n) {
+    Frame reply;
+    ASSERT_TRUE(read_frame(sock.fd(), io, &reply).is_ok());
+    ASSERT_GE(reply.request_id, 1u);
+    ASSERT_LE(reply.request_id, items.size());
+    const Item& item = items[reply.request_id - 1];
+    EXPECT_EQ(reply.device_id, item.device) << "id " << reply.request_id;
+    if (item.device != device_id) {
+      // Typed UNKNOWN_DEVICE, which the client surfaces as kNotFound.
+      EXPECT_EQ(net::wire_code_to_status(error_code_of(reply), "").code(),
+                StatusCode::kNotFound)
+          << "id " << reply.request_id;
+      ++rejected;
+      continue;
+    }
+    ASSERT_EQ(reply.type, MessageType::kPredictReply)
+        << "id " << reply.request_id;
+    SimulationModel::Prediction p;
+    ASSERT_TRUE(net::decode_predict_reply(reply.payload, &p).is_ok());
+    const SimulationModel::Prediction want =
+        model.predict(challenges[item.challenge]);
+    EXPECT_EQ(p.bit, want.bit) << "id " << reply.request_id;
+    EXPECT_EQ(p.flow_a, want.flow_a) << "id " << reply.request_id;
+    EXPECT_EQ(p.flow_b, want.flow_b) << "id " << reply.request_id;
+    ++served;
+  }
+  EXPECT_EQ(rejected, 4u);
+  EXPECT_EQ(served, 3u);
+  // Every frame went through a batch, and each unresolvable item was
+  // counted once.
+  const AuthServer::Stats st = srv.stats();
+  EXPECT_EQ(st.coalesced_items, items.size());
+  EXPECT_EQ(st.solo_dispatches, 0u);
+  EXPECT_EQ(st.unknown_device_rejections, 4u);
+  srv.stop();
+}
+
+// ---------------------------------------------------------------------------
 // Reordering: a fast coalesced predict legally overtakes a slow request
 // that was sent earlier on the same connection.
 
@@ -357,8 +471,11 @@ TEST(Coalescing, RepliesMayOvertakeSlowerRequests) {
   AuthServerOptions o = coalescing_options();
   o.threads = 2;
   o.coalesce_wait_us = 1000;
-  AuthServer srv(shared_model(), o);
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "coalesce_overtake");
+  AuthServer srv(reg, o);
   ASSERT_TRUE(srv.start().is_ok());
+  warm_device(srv.port(), device_id);
   const util::Deadline io = util::Deadline::after_seconds(10.0);
 
   net::Socket sock;
@@ -367,9 +484,11 @@ TEST(Coalescing, RepliesMayOvertakeSlowerRequests) {
   util::Rng rng(42);
   const Challenge c = random_challenge(shared_model().layout(), rng);
   std::vector<std::uint8_t> burst = net::encode_frame(
-      MessageType::kPingRequest, 1, 0, 0, net::encode_ping_request(100));
+      MessageType::kPingRequest, 1, device_id, 0,
+      net::encode_ping_request(100));
   const std::vector<std::uint8_t> predict = net::encode_frame(
-      MessageType::kPredictRequest, 2, 0, 0, net::encode_predict_request(c));
+      MessageType::kPredictRequest, 2, device_id, 0,
+      net::encode_predict_request(c));
   burst.insert(burst.end(), predict.begin(), predict.end());
   ASSERT_TRUE(
       net::send_all(sock.fd(), burst.data(), burst.size(), io).is_ok());
@@ -448,12 +567,15 @@ TEST(Coalescing, PipelinedClientRejectsUnknownReplyIdAndResyncs) {
 // next request on that connection.
 
 TEST(Coalescing, LateReplyNeverMisattributedAfterTimeout) {
-  AuthServer srv(shared_model(), coalescing_options());
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "coalesce_late_reply");
+  AuthServer srv(reg, coalescing_options());
   ASSERT_TRUE(srv.start().is_ok());
 
   net::ClientOptions copts;
   copts.request_timeout_ms = 50;
   copts.max_attempts = 1;  // surface the timeout instead of retrying
+  copts.device_id = device_id;
   AuthClient client("127.0.0.1", srv.port(), copts);
 
   // The server will answer this ping at ~120 ms — after the client's 50 ms
@@ -492,7 +614,9 @@ TEST(Coalescing, SlowPeerIsDisconnectedAtBacklogBound) {
   AuthServerOptions o = per_frame_options();
   o.threads = 1;
   o.max_connection_backlog_bytes = 256;
-  AuthServer srv(shared_model(), o);
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "coalesce_slow_peer");
+  AuthServer srv(reg, o);
   ASSERT_TRUE(srv.start().is_ok());
   const util::Deadline io = util::Deadline::after_seconds(10.0);
 
@@ -506,7 +630,8 @@ TEST(Coalescing, SlowPeerIsDisconnectedAtBacklogBound) {
       net::connect_tcp("127.0.0.1", srv.port(), 2000, &slow).is_ok());
   for (std::uint64_t id = 1; id <= 10; ++id) {
     const std::vector<std::uint8_t> f = net::encode_frame(
-        MessageType::kPingRequest, id, 0, 0, net::encode_ping_request(0));
+        MessageType::kPingRequest, id, device_id, 0,
+        net::encode_ping_request(0));
     ASSERT_TRUE(net::send_all(slow.fd(), f.data(), f.size(), io).is_ok());
   }
 
@@ -520,7 +645,7 @@ TEST(Coalescing, SlowPeerIsDisconnectedAtBacklogBound) {
   EXPECT_GE(srv.stats().slow_peer_disconnects, 1u);
 
   // The event loop and worker never wedged: a healthy client is served.
-  AuthClient healthy("127.0.0.1", srv.port());
+  AuthClient healthy = pipelined_client(srv.port(), device_id, 1);
   EXPECT_TRUE(healthy.ping().is_ok());
 
   // And the slow peer really was cut off.

@@ -413,8 +413,9 @@ TEST(HydrationCache, HitMissEvictionAndUnknown) {
 
   ASSERT_TRUE(cache.get(ids[0], &dev).is_ok());  // cold load
   EXPECT_EQ(dev->id, ids[0]);
-  ASSERT_NE(dev->device->sim_model(), nullptr);
-  EXPECT_EQ(dev->device->sim_model()->layout().node_count(), 6u);
+  SimulationModel published;
+  ASSERT_TRUE(reg.load_model(ids[0], &published).is_ok());
+  EXPECT_EQ(published.layout().node_count(), 6u);
   ASSERT_TRUE(cache.get(ids[0], &dev).is_ok());  // hit
   ASSERT_TRUE(cache.get(ids[1], &dev).is_ok());  // cold load
   ASSERT_TRUE(cache.get(ids[2], &dev).is_ok());  // cold load -> evicts [0]

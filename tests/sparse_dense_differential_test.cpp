@@ -415,33 +415,29 @@ TEST(SparseDenseDifferential, HydratedRegistryModelMatchesDenseOracle) {
     oracle.emplace(chip);
   }
 
-  // Serving path: hydrate through the cache with the shared response
-  // cache attached at materialisation (the PR-7/PR-8 warm plane).
-  ResponseCache response_cache(1 << 20);
-  registry::HydrationCache::Options hopts;
-  hopts.response_cache = &response_cache;
-  registry::HydrationCache hydration(reg, hopts);
+  // Serving path: hydrate through the cache and answer through the
+  // device's predict_batch, the call the server's coalesced path makes,
+  // with the shared response cache passed per batch as the server does.
+  registry::HydrationCache hydration(reg, registry::HydrationCache::Options{});
   std::shared_ptr<const registry::HydratedDevice> dev;
   ASSERT_TRUE(hydration.get(id, &dev).is_ok());
-  ASSERT_EQ(dev->response_cache, &response_cache);
-  // The backend-materialised device exposes its SimulationModel for
-  // max-flow-only differential suites like this one.
-  ASSERT_NE(dev->device->sim_model(), nullptr);
-  const SimulationModel& model = *dev->device->sim_model();
+  SimulationModel published;
+  ASSERT_TRUE(reg.load_model(id, &published).is_ok());
 
   util::Rng rng(7);
   std::vector<Challenge> challenges;
   for (int i = 0; i < 12; ++i)
-    challenges.push_back(random_challenge(model.layout(), rng));
+    challenges.push_back(random_challenge(published.layout(), rng));
 
   const SimulationModel::PredictBatchOptions uncached;
-  const auto cold = model.predict_batch(challenges, uncached);
+  const auto cold = dev->device->predict_batch(challenges, uncached);
 
+  ResponseCache response_cache(1 << 20);
   SimulationModel::PredictBatchOptions cached;
-  cached.cache = dev->response_cache;
+  cached.cache = &response_cache;
   cached.cache_device_id = dev->id;
-  const auto fill = model.predict_batch(challenges, cached);
-  const auto warm = model.predict_batch(challenges, cached);
+  const auto fill = dev->device->predict_batch(challenges, cached);
+  const auto warm = dev->device->predict_batch(challenges, cached);
 
   ASSERT_EQ(cold.size(), challenges.size());
   for (std::size_t i = 0; i < challenges.size(); ++i) {

@@ -25,22 +25,19 @@
 //   ppuf_tool registry <registry-dir> revoke <device-id>
 //   ppuf_tool registry <registry-dir> compact
 //       Inspect and administer a device registry.
-//   ppuf_tool serve <model-file> --seed <s> [--port <p>] ...
 //   ppuf_tool serve --registry <dir> [--port <p>] ...
 //       Run the authentication service (DESIGN.md §12) on 127.0.0.1:
 //       PREDICT / VERIFY / VERIFY_BATCH / CHALLENGE / CHAINED_AUTH over
 //       the framed wire protocol.  SIGTERM/SIGINT drain gracefully.
-//       Single-device mode serves <model-file> as device id 0 and
-//       REQUIRES an explicit --seed (a silently-defaulted challenge seed
-//       means guessable challenges); registry mode serves every enrolled
-//       device by id and self-seeds from the OS entropy pool unless
-//       --seed overrides it (for reproducible tests).
+//       Serves every enrolled device by id (to serve one chip, `enroll`
+//       it first) and self-seeds the challenge RNG from the OS entropy
+//       pool unless --seed overrides it (for reproducible tests).
 //   ppuf_tool auth <host:port> <nodes> <grid> <seed> [--device <id>]
 //                  [--report-file <f>]
 //       Authenticate against a running server as the device holder:
 //       fetch a chain grant, execute the chain on the re-fabricated
-//       "silicon", submit the chained report.  --device targets an
-//       enrolled device id on a registry-backed server.
+//       "silicon", submit the chained report.  --device names the
+//       enrolled device id to authenticate as.
 //   ppuf_tool chaos [--seed <s>] [--seeds <n>] [--seconds <sec>]
 //                   [--torture <iters>] [--json <file>]
 //       Run the chaos campaign (DESIGN.md §14): kill-9 crash-recovery
@@ -81,9 +78,8 @@
 //          stderr): fabricate=10 info=11 challenge=12 predict=13
 //          predict-batch=14 evaluate=15 export-spice=16 serve=17 auth=18
 //          enroll=19 registry=20 chaos=21 gateway=22 fleet=23 standby=24.
-//          Note serve without --registry exits 17 when --seed is missing:
-//          refusing a guessable default seed is part of the usage
-//          contract.  `auth` through a gateway keeps the same codes: the
+//          `serve` without --registry, or with a positional argument,
+//          exits 17.  `auth` through a gateway keeps the same codes: the
 //          gateway forwards typed error replies verbatim, so an unknown
 //          device still exits 5.
 //
@@ -159,15 +155,13 @@ constexpr CommandSpec kCommands[] = {
     {"evaluate", 15, "evaluate <nodes> <grid> <seed> <source> <sink> <bits>"},
     {"export-spice", 16, "export-spice <input-bit> <deck-file>"},
     {"serve", 17,
-     "serve <model-file> --seed <s> | serve --registry <dir> [--seed <s>]\n"
+     "serve --registry <dir> [--seed <s>]\n"
      "                 [--port <p>] [--port-file <f>]\n"
      "                 [--max-inflight <n>] [--deadline-s <sec>]\n"
      "                 [--chain-k <k>] [--spot-checks <s>]\n"
      "                 [--cache-entries <n>]\n"
      "                 [--coalesce-batch <n>] [--coalesce-wait-us <us>]\n"
-     "       (single-device mode refuses to run without an explicit\n"
-     "        --seed: a guessable challenge seed breaks the protocol;\n"
-     "        the global --cache-mb sizes the serve response cache)"},
+     "       (the global --cache-mb sizes the serve response cache)"},
     {"auth", 18,
      "auth <host:port> <nodes> <grid> <seed> [--device <id>]\n"
      "                 [--backend maxflow|pdl] [--report-file <f>]\n"
@@ -651,26 +645,21 @@ volatile std::sig_atomic_t g_drain_requested = 0;
 void on_drain_signal(int) { g_drain_requested = 1; }
 
 int cmd_serve(const std::vector<std::string>& args, const ToolOptions& opts) {
-  // Registered before any setup work: registry recovery / model hydration
-  // can take a while on big stores, and an operator's Ctrl-C (or a CI
-  // supervisor's SIGTERM/SIGINT) during that window must still drain
-  // gracefully instead of killing the process mid-recovery.
+  // Registered before any setup work: registry recovery can take a while
+  // on big stores, and an operator's Ctrl-C (or a CI supervisor's
+  // SIGTERM/SIGINT) during that window must still drain gracefully
+  // instead of killing the process mid-recovery.
   std::signal(SIGTERM, on_drain_signal);
   std::signal(SIGINT, on_drain_signal);
   server::AuthServerOptions so;
   so.threads = opts.threads;
   std::string port_file;
-  std::string model_file;
   std::string registry_dir;
   bool seed_given = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg.rfind("--", 0) != 0) {
-      if (!model_file.empty()) return usage_for("serve");
-      model_file = arg;
-      continue;
-    }
-    if (i + 1 >= args.size()) return usage_for("serve");
+    if (arg.rfind("--", 0) != 0 || i + 1 >= args.size())
+      return usage_for("serve");
     const std::string& value = args[++i];
     if (arg == "--port") {
       so.port = parse_port("serve", value);
@@ -711,41 +700,23 @@ int cmd_serve(const std::vector<std::string>& args, const ToolOptions& opts) {
   // The global --cache-mb sizes the serving response cache here, the same
   // way it sizes predict-batch's cache.
   so.response_cache_bytes = opts.cache_mb * 1024 * 1024;
-  const bool registry_mode = !registry_dir.empty();
-  if (registry_mode == !model_file.empty())
-    return usage_for("serve");  // exactly one of <model-file> / --registry
-  if (!registry_mode && !seed_given) {
-    // A defaulted challenge seed would make every grant predictable; the
-    // single-device operator must choose one deliberately.
-    std::cerr << "serve: single-device mode requires an explicit --seed "
-                 "(guessable challenge seeds break the protocol)\n";
-    return usage_for("serve");
-  }
-  if (registry_mode && !seed_given) {
-    // Registry deployments get an unpredictable seed by default; --seed
-    // remains available so tests can pin the challenge stream.
+  if (registry_dir.empty()) return usage_for("serve");
+  if (!seed_given) {
+    // An unpredictable seed by default (a guessable one means guessable
+    // challenges); --seed remains available so tests can pin the stream.
     std::random_device entropy;
     so.challenge_seed = (static_cast<std::uint64_t>(entropy()) << 32) ^
                         entropy();
   }
 
-  // Whichever mode, the serving substrate must outlive the server.
-  SimulationModel model;
   registry::DeviceRegistry registry;
-  if (registry_mode) {
-    if (util::Status s = registry.open(registry_dir); !s.is_ok())
-      throw std::runtime_error("cannot open registry: " + s.to_string());
-    const registry::DeviceRegistry::RecoveryStats rs =
-        registry.recovery_stats();
-    if (rs.truncated_tail_bytes > 0)
-      std::cout << "registry recovery: dropped a torn WAL tail of "
-                << rs.truncated_tail_bytes << " bytes\n";
-  } else {
-    model = load_model(model_file);
-  }
-  server::AuthServer srv =
-      registry_mode ? server::AuthServer(registry, so)
-                    : server::AuthServer(model, so);
+  if (util::Status s = registry.open(registry_dir); !s.is_ok())
+    throw std::runtime_error("cannot open registry: " + s.to_string());
+  const registry::DeviceRegistry::RecoveryStats rs = registry.recovery_stats();
+  if (rs.truncated_tail_bytes > 0)
+    std::cout << "registry recovery: dropped a torn WAL tail of "
+              << rs.truncated_tail_bytes << " bytes\n";
+  server::AuthServer srv(registry, so);
   const util::Status started = srv.start();
   if (!started.is_ok())
     throw std::runtime_error("cannot start server: " + started.to_string());
@@ -756,14 +727,11 @@ int cmd_serve(const std::vector<std::string>& args, const ToolOptions& opts) {
     pf << srv.port() << "\n";
     if (!pf) throw std::runtime_error("cannot write " + port_file);
   }
-  if (registry_mode)
-    std::cout << "serving registry " << registry_dir << " ("
-              << registry.device_count() << " devices) on 127.0.0.1:"
-              << srv.port();
-  else
-    std::cout << "serving " << model_file << " on 127.0.0.1:" << srv.port();
-  std::cout << " (" << so.threads << " worker threads, max-inflight "
-            << so.max_inflight << ", chain k=" << so.chain_length << ")\n"
+  std::cout << "serving registry " << registry_dir << " ("
+            << registry.device_count() << " devices) on 127.0.0.1:"
+            << srv.port() << " (" << so.threads
+            << " worker threads, max-inflight " << so.max_inflight
+            << ", chain k=" << so.chain_length << ")\n"
             << std::flush;
 
   while (srv.running() && g_drain_requested == 0)
