@@ -109,33 +109,6 @@ std::uint64_t enroll_shared(registry::DeviceRegistry& reg, const char* name) {
   return enroll_small(reg, kSeed, "shared");
 }
 
-/// Read one whole frame from a raw blocking socket.
-Status read_frame(int fd, const util::Deadline& deadline, Frame* out) {
-  std::vector<std::uint8_t> buf(net::kHeaderSize);
-  if (Status s = net::recv_exact(fd, buf.data(), buf.size(), deadline);
-      !s.is_ok())
-    return s;
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(buf[28]) |
-      static_cast<std::uint32_t>(buf[29]) << 8 |
-      static_cast<std::uint32_t>(buf[30]) << 16 |
-      static_cast<std::uint32_t>(buf[31]) << 24;
-  if (payload_len > net::kMaxPayload)
-    return Status::internal("oversized reply payload");
-  buf.resize(net::kHeaderSize + payload_len);
-  if (payload_len > 0) {
-    if (Status s = net::recv_exact(fd, buf.data() + net::kHeaderSize,
-                                   payload_len, deadline);
-        !s.is_ok())
-      return s;
-  }
-  std::size_t consumed = 0;
-  if (net::decode_frame(buf.data(), buf.size(), out, &consumed) !=
-      net::DecodeResult::kOk)
-    return Status::internal("unparseable reply frame");
-  return Status::ok();
-}
-
 WireCode error_code_of(const Frame& reply) {
   net::ErrorReply err;
   if (reply.type != MessageType::kErrorReply ||
@@ -304,7 +277,7 @@ TEST(AuthServer, DeadlineExpiryYieldsTypedReplyOnLiveConnection) {
   ASSERT_TRUE(
       net::send_all(sock.fd(), request.data(), request.size(), io).is_ok());
   Frame reply;
-  ASSERT_TRUE(read_frame(sock.fd(), io, &reply).is_ok());
+  ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
   EXPECT_EQ(reply.request_id, 50u);
   EXPECT_EQ(error_code_of(reply), WireCode::kDeadlineExceeded);
 
@@ -315,7 +288,7 @@ TEST(AuthServer, DeadlineExpiryYieldsTypedReplyOnLiveConnection) {
   ASSERT_TRUE(
       net::send_all(sock.fd(), followup.data(), followup.size(), io)
           .is_ok());
-  ASSERT_TRUE(read_frame(sock.fd(), io, &reply).is_ok());
+  ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
   EXPECT_EQ(reply.type, MessageType::kPingReply);
   EXPECT_EQ(reply.request_id, 51u);
   srv.stop();
@@ -349,7 +322,7 @@ TEST(AuthServer, OverloadYieldsTypedRepliesWithoutBlockingAcceptor) {
   int served = 0, overloaded = 0;
   for (int i = 0; i < 3; ++i) {
     Frame reply;
-    ASSERT_TRUE(read_frame(sock.fd(), io, &reply).is_ok());
+    ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
     if (reply.type == MessageType::kPingReply)
       ++served;
     else if (error_code_of(reply) == WireCode::kOverloaded)
@@ -431,7 +404,7 @@ TEST(AuthServer, DrainRejectsNewFinishesInflight) {
   int ping_ok = 0, shutting_down = 0, drain_visible = 0;
   for (int i = 0; i < 3; ++i) {
     Frame reply;
-    ASSERT_TRUE(read_frame(sock.fd(), io, &reply).is_ok());
+    ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
     if (reply.type == MessageType::kPingReply && reply.request_id == 1) {
       ++ping_ok;
     } else if (reply.type == MessageType::kPingReply &&
@@ -472,7 +445,7 @@ TEST(AuthServer, MalformedStreamGetsTypedErrorThenClose) {
   ASSERT_TRUE(
       net::send_all(sock.fd(), garbage.data(), garbage.size(), io).is_ok());
   Frame reply;
-  ASSERT_TRUE(read_frame(sock.fd(), io, &reply).is_ok());
+  ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
   EXPECT_EQ(error_code_of(reply), WireCode::kMalformed);
 
   // An unsynchronised stream cannot be trusted further: the server closes
@@ -499,7 +472,7 @@ TEST(AuthServer, NonRequestTypeGetsTypedUnsupported) {
   ASSERT_TRUE(
       net::send_all(sock.fd(), bogus.data(), bogus.size(), io).is_ok());
   Frame reply;
-  ASSERT_TRUE(read_frame(sock.fd(), io, &reply).is_ok());
+  ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
   EXPECT_EQ(error_code_of(reply), WireCode::kUnsupportedType);
   srv.stop();
 }

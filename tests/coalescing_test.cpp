@@ -27,12 +27,16 @@
 //                        reconnects on every transport failure);
 //   * slow peers       - a connection that stops draining its socket is
 //                        disconnected at the backlog bound instead of
-//                        wedging workers or the event loop.
+//                        wedging workers or the event loop;
+//   * soak             - thousands of simultaneously open connections are
+//                        each served while all stay in the event loop.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -44,6 +48,7 @@
 #include "net/client.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "ppuf/ppuf.hpp"
 #include "ppuf/sim_model.hpp"
 #include "protocol/authentication.hpp"
@@ -105,33 +110,6 @@ AuthServerOptions per_frame_options() {
   o.spot_checks = 0;
   o.coalesce_max_batch = 1;  // per-frame dispatch: the reference behaviour
   return o;
-}
-
-/// Read one whole frame from a raw blocking socket.
-Status read_frame(int fd, const util::Deadline& deadline, Frame* out) {
-  std::vector<std::uint8_t> buf(net::kHeaderSize);
-  if (Status s = net::recv_exact(fd, buf.data(), buf.size(), deadline);
-      !s.is_ok())
-    return s;
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(buf[28]) |
-      static_cast<std::uint32_t>(buf[29]) << 8 |
-      static_cast<std::uint32_t>(buf[30]) << 16 |
-      static_cast<std::uint32_t>(buf[31]) << 24;
-  if (payload_len > net::kMaxPayload)
-    return Status::internal("oversized reply payload");
-  buf.resize(net::kHeaderSize + payload_len);
-  if (payload_len > 0) {
-    if (Status s = net::recv_exact(fd, buf.data() + net::kHeaderSize,
-                                   payload_len, deadline);
-        !s.is_ok())
-      return s;
-  }
-  std::size_t consumed = 0;
-  if (net::decode_frame(buf.data(), buf.size(), out, &consumed) !=
-      net::DecodeResult::kOk)
-    return Status::internal("unparseable reply frame");
-  return Status::ok();
 }
 
 WireCode error_code_of(const Frame& reply) {
@@ -238,14 +216,34 @@ TEST(Coalescing, DifferentialMatchesPerFrameServing) {
     return failures.load();
   };
 
+  // Solver work per pass, read off the process-wide push-relabel counter.
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  metrics.set_enabled(true);
+  const auto solves = [&] {
+    return metrics.counter_value("maxflow.push_relabel.solves");
+  };
+
   std::vector<SimulationModel::Prediction> want[kDevices];
   std::vector<SimulationModel::Prediction> got[kDevices];
   std::vector<SimulationModel::Prediction> warm[kDevices];
+  const std::uint64_t before_per_frame = solves();
   ASSERT_EQ(run_workload(per_frame, want), 0);
+  const std::uint64_t before_cold = solves();
   ASSERT_EQ(run_workload(coalesced, got), 0);
+  const std::uint64_t before_warm = solves();
   // Second pass against the coalesced server: answered from the response
   // cache, and still required to be identical.
   ASSERT_EQ(run_workload(coalesced, warm), 0);
+  const std::uint64_t after_warm = solves();
+
+  // Work gate: the warm pass solves nothing, so the coalesced server's two
+  // passes together cost at most the per-frame server's one — at least a
+  // 2x reduction in solver work for the same answers.
+  const std::uint64_t per_frame_solves = before_cold - before_per_frame;
+  const std::uint64_t warm_solves = after_warm - before_warm;
+  EXPECT_GT(per_frame_solves, 0u);
+  EXPECT_EQ(warm_solves, 0u);
+  EXPECT_LE(after_warm - before_cold, per_frame_solves);
 
   for (int d = 0; d < kDevices; ++d) {
     ASSERT_EQ(want[d].size(), challenges[d].size());
@@ -295,6 +293,7 @@ TEST(Coalescing, DifferentialMatchesPerFrameServing) {
 
   coalesced.stop();
   per_frame.stop();
+  metrics.set_enabled(false);
 }
 
 // ---------------------------------------------------------------------------
@@ -349,7 +348,7 @@ TEST(Coalescing, MidBatchDeadlineExpiryDoesNotPoisonBatchMates) {
   int served = 0, expired = 0;
   for (int i = 0; i < 3; ++i) {
     Frame reply;
-    ASSERT_TRUE(read_frame(sock.fd(), io, &reply).is_ok());
+    ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
     if (reply.request_id == 2) {
       // The tight budget dies typed — never a wrong bit, never a hang.
       EXPECT_EQ(error_code_of(reply), WireCode::kDeadlineExceeded);
@@ -428,7 +427,7 @@ TEST(Coalescing, UnknownDeviceBatchesAnswerEveryItemTyped) {
   std::size_t rejected = 0, served = 0;
   for (std::size_t n = 0; n < items.size(); ++n) {
     Frame reply;
-    ASSERT_TRUE(read_frame(sock.fd(), io, &reply).is_ok());
+    ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
     ASSERT_GE(reply.request_id, 1u);
     ASSERT_LE(reply.request_id, items.size());
     const Item& item = items[reply.request_id - 1];
@@ -496,8 +495,8 @@ TEST(Coalescing, RepliesMayOvertakeSlowerRequests) {
   // The predict (worker 2, ~ms) finishes while the ping (worker 1) still
   // sleeps: the reply stream reorders, ids keep everything attributable.
   Frame first, second;
-  ASSERT_TRUE(read_frame(sock.fd(), io, &first).is_ok());
-  ASSERT_TRUE(read_frame(sock.fd(), io, &second).is_ok());
+  ASSERT_TRUE(net::read_frame(sock.fd(), &first, io).is_ok());
+  ASSERT_TRUE(net::read_frame(sock.fd(), &second, io).is_ok());
   EXPECT_EQ(first.request_id, 2u);
   EXPECT_EQ(first.type, MessageType::kPredictReply);
   EXPECT_EQ(second.request_id, 1u);
@@ -651,10 +650,62 @@ TEST(Coalescing, SlowPeerIsDisconnectedAtBacklogBound) {
   // And the slow peer really was cut off.
   Frame reply;
   EXPECT_FALSE(
-      read_frame(slow.fd(), util::Deadline::after_seconds(2.0), &reply)
+      net::read_frame(slow.fd(), &reply, util::Deadline::after_seconds(2.0))
           .is_ok());
   srv.stop();
   util::FaultHooks::instance().reset();
+}
+
+// ---------------------------------------------------------------------------
+// Soak: thousands of connections held open at once on a coalescing server,
+// each served one PING, and the server still answers a fresh client.
+
+TEST(Coalescing, ThousandsOfOpenConnectionsStayServed) {
+  // Each connection costs this process two fds (client end and accepted
+  // end), so the target is clamped to the fd limit with headroom.
+  std::size_t target = 10000;
+  struct rlimit rl{};
+  if (::getrlimit(RLIMIT_NOFILE, &rl) == 0 && rl.rlim_cur != RLIM_INFINITY)
+    target = std::min<std::size_t>(
+        target, rl.rlim_cur > 512
+                    ? static_cast<std::size_t>(rl.rlim_cur - 256) / 2
+                    : 64);
+
+  AuthServerOptions o;
+  o.threads = 2;
+  o.coalesce_max_batch = 16;
+  o.coalesce_wait_us = 200;
+  o.response_cache_bytes = std::size_t{16} << 20;
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "coalesce_soak");
+  AuthServer srv(reg, o);
+  ASSERT_TRUE(srv.start().is_ok());
+  const util::Deadline io = util::Deadline::after_seconds(60.0);
+
+  std::vector<net::Socket> open_conns;
+  open_conns.reserve(target);
+  std::size_t served = 0;
+  for (std::size_t i = 0; i < target; ++i) {
+    net::Socket sock;
+    if (!net::connect_tcp("127.0.0.1", srv.port(), 2000, &sock).is_ok())
+      break;
+    const std::vector<std::uint8_t> f = net::encode_frame(
+        MessageType::kPingRequest, i + 1, device_id, 0,
+        net::encode_ping_request(0));
+    Frame reply;
+    if (net::send_all(sock.fd(), f.data(), f.size(), io).is_ok() &&
+        net::read_frame(sock.fd(), &reply, io).is_ok() &&
+        reply.type == MessageType::kPingReply)
+      ++served;
+    open_conns.push_back(std::move(sock));
+  }
+  EXPECT_EQ(served, target);
+
+  // Liveness while every soak connection still sits in the epoll set.
+  AuthClient probe = pipelined_client(srv.port(), device_id, 1);
+  EXPECT_TRUE(probe.ping().is_ok());
+  open_conns.clear();
+  srv.stop();
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include "ppuf/ppuf.hpp"
 #include "ppuf/sim_model.hpp"
+#include "protocol/codec.hpp"
 #include "registry/device_registry.hpp"
 #include "registry/hydration_cache.hpp"
 #include "registry/record.hpp"
@@ -392,6 +393,81 @@ TEST(DeviceRegistry, SnapshotRenameFailureKeepsOldStateServing) {
   EXPECT_EQ(reopened.device_count(), 2u);
   EXPECT_TRUE(reopened.active(id1));
   EXPECT_TRUE(reopened.active(id2));
+}
+
+TEST(DeviceRegistry, HundredThousandDevicesRecoverAndHydrateAWorkingSet) {
+  // Every device shares one tiny model blob: the test is about recovery
+  // and hydration at scale, and fabricating 100k devices would dominate.
+  constexpr std::uint64_t kDevices = 100000;
+  // The snapshot is one body bounded by kMaxBodyBytes, so the rest of the
+  // registry arrives as individually framed WAL records to replay.
+  constexpr std::uint64_t kSnapshotDevices = 40000;
+  PpufParams tiny;
+  tiny.node_count = 6;
+  tiny.grid_size = 3;
+  MaxFlowPpuf tiny_chip(tiny, 4242);
+  protocol::codec::Writer blob;
+  protocol::codec::encode_sim_model(blob, SimulationModel(tiny_chip));
+  const std::vector<std::uint8_t> model_bytes = blob.take();
+  const auto entry_for = [&](std::uint64_t id) {
+    registry::DeviceEntry e;
+    e.id = id;
+    e.nodes = static_cast<std::uint32_t>(tiny.node_count);
+    e.grid = static_cast<std::uint32_t>(tiny.grid_size);
+    e.model_bytes = model_bytes;
+    return e;
+  };
+
+  const std::string dir = fresh_dir("hundred_thousand");
+  fs::create_directories(dir);
+  {
+    registry::SnapshotBody snap;
+    snap.next_id = kSnapshotDevices + 1;
+    snap.entries.reserve(kSnapshotDevices);
+    for (std::uint64_t id = 1; id <= kSnapshotDevices; ++id)
+      snap.entries.push_back(entry_for(id));
+    const std::vector<std::uint8_t> image = registry::frame_snapshot(snap);
+    std::ofstream out(dir + "/snapshot.bin", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+  }
+  {
+    std::ofstream out(dir + "/wal.log", std::ios::binary);
+    for (std::uint64_t id = kSnapshotDevices + 1; id <= kDevices; ++id) {
+      registry::WalRecord rec;
+      rec.type = registry::WalRecord::Type::kEnroll;
+      rec.entry = entry_for(id);
+      const std::vector<std::uint8_t> frame = registry::frame_record(rec);
+      out.write(reinterpret_cast<const char*>(frame.data()),
+                static_cast<std::streamsize>(frame.size()));
+    }
+  }
+
+  DeviceRegistry reg;
+  ASSERT_TRUE(reg.open(dir).is_ok());
+  EXPECT_EQ(reg.device_count(), kDevices);
+
+  // A uniform working set spread over snapshot and WAL devices alike, far
+  // larger than the cache: nearly every get is a cold load, none may fail.
+  constexpr std::size_t kWorkingSet = 4096;
+  constexpr std::size_t kGets = 20000;
+  HydrationCache::Options options;
+  options.max_entries = 64;
+  options.verify_threads = 1;
+  HydrationCache cache(reg, options);
+  util::Rng rng(77);
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < kGets; ++i) {
+    const auto slot = static_cast<std::uint64_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kWorkingSet) - 1));
+    std::shared_ptr<const registry::HydratedDevice> dev;
+    if (!cache.get(1 + slot * (kDevices / kWorkingSet), &dev).is_ok())
+      ++failed;
+  }
+  EXPECT_EQ(failed, 0u);
+  const HydrationCache::Stats s = cache.stats();
+  EXPECT_EQ(s.hits + s.misses, kGets);
+  EXPECT_EQ(s.entries, 64u);
 }
 
 // ---------------------------------------------------------- hydration cache
