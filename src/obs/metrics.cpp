@@ -340,9 +340,9 @@ void register_standard_metrics(MetricsRegistry& registry) {
   }
   registry.counter("gateway.forwarded");
   // Server per-type wall time, measured from dispatch to completion
-  // enqueue.
-  for (const char* t : {"ping", "predict", "verify", "verify_batch",
-                        "challenge", "chained_auth"}) {
+  // enqueue.  PREDICT and VERIFY time under server.batch.request_us.
+  for (const char* t : {"ping", "verify_batch", "challenge",
+                        "chained_auth"}) {
     registry.histogram(std::string("server.") + t + ".request_us");
   }
 

@@ -59,8 +59,9 @@ registry::HydrationCache::Options hydration_options(
 }  // namespace
 
 /// The server's handler on the shared reactor: device resolution, the
-/// request handlers, and the coalescer.  Devices resolve through the
-/// registry via a bounded hydration cache.
+/// request handlers, and the device-batch stage every PREDICT and VERIFY
+/// goes through.  Devices resolve through the registry via a bounded
+/// hydration cache.
 struct AuthServer::Impl final : net::FrameServer::Handler {
   Impl(registry::DeviceRegistry& registry,
        const AuthServerOptions& options, std::atomic<bool>& draining)
@@ -80,7 +81,7 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
   /// registry's own mutex serialises against other callers).
   registry::DeviceRegistry& device_registry;
   registry::HydrationCache hydration;
-  /// Shared device-keyed CRP cache for the coalesced predict path
+  /// Shared device-keyed CRP cache for every PREDICT
   /// (options.response_cache_bytes > 0).
   std::optional<ResponseCache> response_cache;
 
@@ -120,10 +121,11 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
   std::mutex rng_mutex;  ///< guards rng (workers issue challenges too)
   util::Rng rng;
 
-  // --- coalescing stage (event-loop thread only) --------------------------
+  // --- device-batch stage (event-loop thread only) -------------------------
 
-  /// One frame parked in a per-device batch.  The deadline was re-anchored
-  /// at decode, so waiting in the batch burns the request's own budget.
+  /// One PREDICT/VERIFY frame bound for run_batch.  The deadline was
+  /// re-anchored at decode, so waiting in a batch burns the request's own
+  /// budget.
   struct PendingItem {
     std::uint64_t connection_id = 0;
     Frame frame;
@@ -134,8 +136,6 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
   /// leaves the map wholesale when it is flushed to the pool.
   std::unordered_map<std::uint64_t, std::vector<PendingItem>> pending;
   std::size_t pending_count = 0;
-
-  bool coalesce_enabled() const { return options.coalesce_max_batch > 1; }
 
   // Stats (relaxed atomics; read via AuthServer::stats()).  The transport
   // counters live in the reactor.
@@ -164,10 +164,8 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
   void on_loop_pass(bool draining) override;
   bool idle() const override { return pending_count == 0; }
 
-  /// Per-frame dispatch: one pool task for one frame (the pre-coalescing
-  /// path, still used for every non-batchable type and for solo frames).
-  void submit_frame(std::uint64_t connection_id, Frame frame,
-                    const util::Deadline& deadline);
+  /// One pool task serving `items` (all for `device_id`) via run_batch.
+  void submit_batch(std::uint64_t device_id, std::vector<PendingItem> items);
   /// Flush one device's open batch to the pool.
   void flush_device_batch(std::uint64_t device_id);
 
@@ -188,20 +186,17 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
 
   // --- request handlers (worker threads) ----------------------------------
 
-  /// Serve one coalesced device batch on a worker: resolve the device
-  /// once, run predicts through predict_batch (device-keyed cache,
-  /// per-item deadlines) and verifies through verify_batch, then scatter
-  /// one completion per item back to its originating connection.
+  /// Serve one device batch (one item when it did not coalesce) on a
+  /// worker: answer expired items, resolve the device once, run predicts
+  /// through predict_batch (device-keyed cache, per-item deadlines) and
+  /// verifies through verify_batch, then scatter one completion per item
+  /// back to its originating connection.
   void run_batch(std::uint64_t device_id, std::vector<PendingItem> items);
 
   std::vector<std::uint8_t> handle(const Frame& frame,
                                    const util::Deadline& deadline);
   std::vector<std::uint8_t> handle_ping(const Frame& frame,
                                         const util::Deadline& deadline);
-  std::vector<std::uint8_t> handle_predict(const Frame& frame,
-                                           const util::Deadline& deadline);
-  std::vector<std::uint8_t> handle_verify(const Frame& frame,
-                                          const util::Deadline& deadline);
   std::vector<std::uint8_t> handle_verify_batch(
       const Frame& frame, const util::Deadline& deadline);
   std::vector<std::uint8_t> handle_challenge(const Frame& frame);
@@ -278,44 +273,50 @@ std::vector<std::uint8_t> AuthServer::Impl::dispatch(
 
   // Budget is re-anchored NOW, at decode: queue wait burns budget.
   const util::Deadline deadline = frame.deadline();
-  const bool batchable = coalesce_enabled() &&
-                         (frame.type == MessageType::kPredictRequest ||
-                          frame.type == MessageType::kVerifyRequest);
-  if (!batchable) {
-    submit_frame(connection_id, std::move(frame), deadline);
+  if (frame.type != MessageType::kPredictRequest &&
+      frame.type != MessageType::kVerifyRequest) {
+    reactor.submit(connection_id, std::move(frame),
+                   [this, deadline](const Frame& f) {
+                     return handle(f, deadline);
+                   });
     return {};
   }
-  // Batch-window deadline policy: a frame joins a batch only if its
-  // budget can survive the full window; otherwise it goes to the pool
-  // solo, where nothing ahead of it can eat the remaining budget.
-  if (!deadline.is_unlimited() &&
-      deadline.remaining() < std::chrono::microseconds(
-                                 options.coalesce_wait_us)) {
-    solo_dispatches.fetch_add(1, std::memory_order_relaxed);
-    reg.counter("server.solo_dispatches").add();
-    submit_frame(connection_id, std::move(frame), deadline);
-    return {};
-  }
+  // Batch-window deadline policy: a read joins a window only if its
+  // budget can survive the full window.  Any other read (every read when
+  // coalescing is off) goes to the pool as a one-item batch, where nothing
+  // ahead of it can eat the remaining budget.
   const std::uint64_t device_id = frame.device_id;
-  std::vector<PendingItem>& batch = pending[device_id];
-  PendingItem item;
-  item.connection_id = connection_id;
-  item.frame = std::move(frame);
-  item.deadline = deadline;
-  item.enqueued_at = std::chrono::steady_clock::now();
-  batch.push_back(std::move(item));
+  const bool coalescing = options.coalesce_max_batch > 1;
+  const bool joins_window =
+      coalescing &&
+      (deadline.is_unlimited() ||
+       deadline.remaining() >=
+           std::chrono::microseconds(options.coalesce_wait_us));
+  std::vector<PendingItem> solo;
+  std::vector<PendingItem>& batch = joins_window ? pending[device_id] : solo;
+  batch.push_back({connection_id, std::move(frame), deadline,
+                   std::chrono::steady_clock::now()});
+  if (!joins_window) {
+    if (coalescing) {
+      solo_dispatches.fetch_add(1, std::memory_order_relaxed);
+      reg.counter("server.solo_dispatches").add();
+    }
+    submit_batch(device_id, std::move(solo));
+    return {};
+  }
   ++pending_count;
   if (batch.size() >= options.coalesce_max_batch)
     flush_device_batch(device_id);
   return {};
 }
 
-void AuthServer::Impl::submit_frame(std::uint64_t connection_id, Frame frame,
-                                    const util::Deadline& deadline) {
-  reactor.submit(connection_id, std::move(frame),
-                 [this, deadline](const Frame& f) {
-                   return handle(f, deadline);
-                 });
+void AuthServer::Impl::submit_batch(std::uint64_t device_id,
+                                    std::vector<PendingItem> items) {
+  auto shared_items =
+      std::make_shared<std::vector<PendingItem>>(std::move(items));
+  reactor.pool().submit([this, device_id, shared_items] {
+    run_batch(device_id, std::move(*shared_items));
+  });
 }
 
 void AuthServer::Impl::flush_device_batch(std::uint64_t device_id) {
@@ -338,12 +339,7 @@ void AuthServer::Impl::flush_device_batch(std::uint64_t device_id) {
       .record(static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(waited)
               .count()));
-
-  auto shared_items =
-      std::make_shared<std::vector<PendingItem>>(std::move(items));
-  reactor.pool().submit([this, device_id, shared_items] {
-    run_batch(device_id, std::move(*shared_items));
-  });
+  submit_batch(device_id, std::move(items));
 }
 
 void AuthServer::Impl::on_loop_pass(bool draining) {
@@ -391,10 +387,6 @@ std::vector<std::uint8_t> AuthServer::Impl::handle(
   switch (frame.type) {
     case MessageType::kPingRequest:
       return handle_ping(frame, deadline);
-    case MessageType::kPredictRequest:
-      return handle_predict(frame, deadline);
-    case MessageType::kVerifyRequest:
-      return handle_verify(frame, deadline);
     case MessageType::kVerifyBatchRequest:
       return handle_verify_batch(frame, deadline);
     case MessageType::kChallengeRequest:
@@ -441,61 +433,6 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_ping(
   return net::encode_frame(MessageType::kPingReply, frame.request_id,
                            frame.device_id, 0,
                            net::encode_ping_reply(health_info()));
-}
-
-std::vector<std::uint8_t> AuthServer::Impl::handle_predict(
-    const Frame& frame, const util::Deadline& deadline) {
-  obs::ScopedTimer timer(obs::MetricsRegistry::global(),
-                         "server.predict.request_us");
-  DeviceContext ctx;
-  if (Status s = resolve_device(frame.device_id, &ctx); !s.is_ok())
-    return device_error_reply(frame, s);
-  Challenge challenge;
-  if (Status s = net::decode_predict_request(frame.payload, &challenge);
-      !s.is_ok())
-    return error_frame(frame.request_id, frame.device_id,
-                       WireCode::kMalformed, s.message());
-  if (Status s = ctx->device->validate_challenge(challenge); !s.is_ok())
-    return error_frame(frame.request_id, frame.device_id,
-                       WireCode::kInvalidArgument, s.message());
-  util::SolveControl control;
-  control.deadline = deadline;
-  const SimulationModel::Prediction p =
-      ctx->device->predict(challenge, control);
-  if (!p.ok())
-    return error_frame(frame.request_id, frame.device_id,
-                       wire_code_for(p.status), p.status.to_string());
-  return net::encode_frame(MessageType::kPredictReply, frame.request_id,
-                           frame.device_id, 0,
-                           net::encode_predict_reply(p));
-}
-
-std::vector<std::uint8_t> AuthServer::Impl::handle_verify(
-    const Frame& frame, const util::Deadline& deadline) {
-  obs::ScopedTimer timer(obs::MetricsRegistry::global(),
-                         "server.verify.request_us");
-  DeviceContext ctx;
-  if (Status s = resolve_device(frame.device_id, &ctx); !s.is_ok())
-    return device_error_reply(frame, s);
-  Challenge challenge;
-  protocol::ProverReport report;
-  if (Status s =
-          net::decode_verify_request(frame.payload, &challenge, &report);
-      !s.is_ok())
-    return error_frame(frame.request_id, frame.device_id,
-                       WireCode::kMalformed, s.message());
-  if (Status s = ctx->device->validate_challenge(challenge); !s.is_ok())
-    return error_frame(frame.request_id, frame.device_id,
-                       WireCode::kInvalidArgument, s.message());
-  if (deadline.expired())
-    return error_frame(frame.request_id, frame.device_id,
-                       WireCode::kDeadlineExceeded,
-                       "budget expired before verification");
-  const protocol::AuthenticationResult result =
-      ctx->device->verify(challenge, report);
-  return net::encode_frame(MessageType::kVerifyReply, frame.request_id,
-                           frame.device_id, 0,
-                           net::encode_verify_reply(result));
 }
 
 std::vector<std::uint8_t> AuthServer::Impl::handle_verify_batch(
@@ -684,138 +621,123 @@ void AuthServer::Impl::run_batch(std::uint64_t device_id,
                          "server.batch.request_us");
   // Every item produces exactly one reply, no matter how the batch goes.
   std::vector<std::vector<std::uint8_t>> replies(items.size());
+  const auto reply_error = [&](std::size_t i, WireCode code,
+                               const std::string& message) {
+    replies[i] = error_frame(items[i].frame.request_id,
+                             items[i].frame.device_id, code, message);
+  };
   try {
+    // Expired in the queue or the window: answer with the typed error
+    // before doing work (hydration included) nobody is waiting for.
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (items[i].deadline.expired())
+        reply_error(i, WireCode::kDeadlineExceeded,
+                    "budget expired before processing");
+      else
+        ++live;
+    }
+    // With nothing live every item is answered, so ctx is never read.
     DeviceContext ctx;
-    if (Status resolved = resolve_device(device_id, &ctx);
-        !resolved.is_ok()) {
-      for (std::size_t i = 0; i < items.size(); ++i)
-        replies[i] = device_error_reply(items[i].frame, resolved);
-    } else {
-      // Partition: decode/validate failures answer their own item and
-      // drop out; the survivors gather into ONE predict_batch call and
-      // ONE verify_batch call.  Both run inline on this worker — nested
-      // pool dispatch would deadlock the pool (DESIGN.md §12).
-      struct PredictSlot {
-        std::size_t item;
-        Challenge challenge;
-      };
-      struct VerifySlot {
-        std::size_t item;
-        Challenge challenge;
-        protocol::ProverReport report;
-      };
-      std::vector<PredictSlot> predicts;
-      std::vector<VerifySlot> verifies;
-      for (std::size_t i = 0; i < items.size(); ++i) {
+    const Status resolved =
+        live > 0 ? resolve_device(device_id, &ctx) : Status::ok();
+    // Partition: decode/validate failures answer their own item and drop
+    // out; the survivors gather into ONE predict_batch call and ONE
+    // verify_batch call.  Both run inline on this worker — nested pool
+    // dispatch would deadlock the pool (DESIGN.md §12).
+    std::vector<std::size_t> predicted;
+    std::vector<Challenge> predict_challenges;
+    SimulationModel::PredictBatchOptions popts;
+    struct VerifySlot {
+      std::size_t item;
+      Challenge challenge;
+      protocol::ProverReport report;
+    };
+    std::vector<VerifySlot> verifies;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (!replies[i].empty()) continue;
+      const Frame& frame = items[i].frame;
+      if (!resolved.is_ok()) {
+        replies[i] = device_error_reply(frame, resolved);
+        continue;
+      }
+      // dispatch() batches only PREDICT and VERIFY.
+      const bool verify = frame.type == MessageType::kVerifyRequest;
+      Challenge c;
+      protocol::ProverReport r;
+      if (Status s = verify
+                         ? net::decode_verify_request(frame.payload, &c, &r)
+                         : net::decode_predict_request(frame.payload, &c);
+          !s.is_ok()) {
+        reply_error(i, WireCode::kMalformed, s.message());
+        continue;
+      }
+      if (Status s = ctx->device->validate_challenge(c); !s.is_ok()) {
+        reply_error(i, WireCode::kInvalidArgument, s.message());
+        continue;
+      }
+      if (verify) {
+        verifies.push_back({i, std::move(c), std::move(r)});
+      } else {
+        predicted.push_back(i);
+        predict_challenges.push_back(std::move(c));
+        popts.deadlines.push_back(items[i].deadline);
+      }
+    }
+    if (!predicted.empty()) {
+      popts.algorithm = maxflow::Algorithm::kPushRelabel;
+      popts.thread_count = 1;  // inline: this IS a pool worker already
+      popts.cache = response_cache ? &*response_cache : nullptr;
+      popts.cache_device_id = device_id;
+      const std::vector<SimulationModel::Prediction> preds =
+          ctx->device->predict_batch(predict_challenges, popts);
+      for (std::size_t k = 0; k < predicted.size(); ++k) {
+        const std::size_t i = predicted[k];
         const Frame& frame = items[i].frame;
-        if (frame.type == MessageType::kPredictRequest) {
-          Challenge c;
-          if (Status s = net::decode_predict_request(frame.payload, &c);
-              !s.is_ok()) {
-            replies[i] = error_frame(frame.request_id, frame.device_id,
-                                     WireCode::kMalformed, s.message());
-            continue;
-          }
-          if (Status s = ctx->device->validate_challenge(c); !s.is_ok()) {
-            replies[i] = error_frame(frame.request_id, frame.device_id,
-                                     WireCode::kInvalidArgument,
-                                     s.message());
-            continue;
-          }
-          predicts.push_back({i, std::move(c)});
-        } else {  // kVerifyRequest: dispatch() coalesces only these two
-          Challenge c;
-          protocol::ProverReport r;
-          if (Status s = net::decode_verify_request(frame.payload, &c, &r);
-              !s.is_ok()) {
-            replies[i] = error_frame(frame.request_id, frame.device_id,
-                                     WireCode::kMalformed, s.message());
-            continue;
-          }
-          if (Status s = ctx->device->validate_challenge(c); !s.is_ok()) {
-            replies[i] = error_frame(frame.request_id, frame.device_id,
-                                     WireCode::kInvalidArgument,
-                                     s.message());
-            continue;
-          }
-          verifies.push_back({i, std::move(c), std::move(r)});
-        }
+        if (!preds[k].ok())
+          reply_error(i, wire_code_for(preds[k].status),
+                      preds[k].status.to_string());
+        else
+          replies[i] = net::encode_frame(
+              MessageType::kPredictReply, frame.request_id, frame.device_id,
+              0, net::encode_predict_reply(preds[k]));
       }
-      if (!predicts.empty()) {
-        std::vector<Challenge> challenges;
-        challenges.reserve(predicts.size());
-        SimulationModel::PredictBatchOptions popts;
-        popts.algorithm = maxflow::Algorithm::kPushRelabel;
-        popts.thread_count = 1;  // inline: this IS a pool worker already
-        popts.cache = response_cache ? &*response_cache : nullptr;
-        popts.cache_device_id = device_id;
-        popts.deadlines.reserve(predicts.size());
-        for (const PredictSlot& slot : predicts) {
-          challenges.push_back(slot.challenge);
-          popts.deadlines.push_back(items[slot.item].deadline);
-        }
-        const std::vector<SimulationModel::Prediction> preds =
-            ctx->device->predict_batch(challenges, popts);
-        for (std::size_t k = 0; k < predicts.size(); ++k) {
-          const std::size_t i = predicts[k].item;
-          const Frame& frame = items[i].frame;
-          if (!preds[k].ok())
-            replies[i] = error_frame(frame.request_id, frame.device_id,
-                                     wire_code_for(preds[k].status),
-                                     preds[k].status.to_string());
-          else
-            replies[i] = net::encode_frame(
-                MessageType::kPredictReply, frame.request_id,
-                frame.device_id, 0, net::encode_predict_reply(preds[k]));
-        }
+    }
+    // verify_batch has no per-item deadline plumbing; check expiry per
+    // item here so a budget that died during hydration or the batch's
+    // predicts answers typed without poisoning its batch-mates.
+    std::vector<Challenge> vc;
+    std::vector<protocol::ProverReport> vr;
+    std::vector<std::size_t> verified;
+    for (VerifySlot& slot : verifies) {
+      if (items[slot.item].deadline.expired()) {
+        reply_error(slot.item, WireCode::kDeadlineExceeded,
+                    "budget expired before verification");
+        continue;
       }
-      if (!verifies.empty()) {
-        // verify_batch has no per-item deadline plumbing; check expiry
-        // per item here so a dead budget answers typed without poisoning
-        // its batch-mates.
-        std::vector<Challenge> vc;
-        std::vector<protocol::ProverReport> vr;
-        std::vector<std::size_t> live;
-        for (VerifySlot& slot : verifies) {
-          if (items[slot.item].deadline.expired()) {
-            const Frame& frame = items[slot.item].frame;
-            replies[slot.item] = error_frame(
-                frame.request_id, frame.device_id,
-                WireCode::kDeadlineExceeded,
-                "budget expired in coalescing window");
-            continue;
-          }
-          live.push_back(slot.item);
-          vc.push_back(std::move(slot.challenge));
-          vr.push_back(std::move(slot.report));
-        }
-        if (!vc.empty()) {
-          protocol::Verifier::BatchVerifyOptions vopts;
-          vopts.thread_count = 1;  // inline on this worker
-          const std::vector<protocol::AuthenticationResult> results =
-              ctx->device->verify_batch(vc, vr, vopts);
-          for (std::size_t k = 0; k < live.size(); ++k) {
-            const Frame& frame = items[live[k]].frame;
-            replies[live[k]] = net::encode_frame(
-                MessageType::kVerifyReply, frame.request_id,
-                frame.device_id, 0, net::encode_verify_reply(results[k]));
-          }
-        }
+      verified.push_back(slot.item);
+      vc.push_back(std::move(slot.challenge));
+      vr.push_back(std::move(slot.report));
+    }
+    if (!vc.empty()) {
+      protocol::Verifier::BatchVerifyOptions vopts;
+      vopts.thread_count = 1;  // inline on this worker
+      const std::vector<protocol::AuthenticationResult> results =
+          ctx->device->verify_batch(vc, vr, vopts);
+      for (std::size_t k = 0; k < verified.size(); ++k) {
+        const Frame& frame = items[verified[k]].frame;
+        replies[verified[k]] = net::encode_frame(
+            MessageType::kVerifyReply, frame.request_id, frame.device_id, 0,
+            net::encode_verify_reply(results[k]));
       }
     }
   } catch (const std::exception& e) {
     for (std::size_t i = 0; i < items.size(); ++i)
-      if (replies[i].empty())
-        replies[i] = error_frame(items[i].frame.request_id,
-                                 items[i].frame.device_id,
-                                 WireCode::kInternal, e.what());
+      if (replies[i].empty()) reply_error(i, WireCode::kInternal, e.what());
   } catch (...) {
     for (std::size_t i = 0; i < items.size(); ++i)
       if (replies[i].empty())
-        replies[i] = error_frame(items[i].frame.request_id,
-                                 items[i].frame.device_id,
-                                 WireCode::kInternal,
-                                 "unknown batch handler failure");
+        reply_error(i, WireCode::kInternal, "unknown batch handler failure");
   }
   // Reply-scatter: one lock and one wake for the whole batch; each item
   // routes back to its own originating connection.

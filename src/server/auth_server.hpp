@@ -76,21 +76,21 @@ struct AuthServerOptions {
   /// Upper bound honoured for PING delay_ms (a load-testing knob, not an
   /// invitation to park workers forever).
   std::uint32_t max_ping_delay_ms = 10000;
-  /// Cross-connection request coalescing (DESIGN.md §16).  When > 1 the
-  /// event loop gathers PREDICT / VERIFY frames from *all* connections
-  /// into per-device batches instead of dispatching one pool task per
-  /// frame: a batch closes when it reaches this many items, when its
+  /// Cross-connection request coalescing (DESIGN.md §16).  Every
+  /// PREDICT / VERIFY is served as a device batch.  When > 1 the event
+  /// loop gathers these frames from *all* connections into per-device
+  /// batches: a batch closes when it reaches this many items, when its
   /// oldest frame has waited coalesce_wait_us, or when the server starts
-  /// draining.  A frame whose budget cannot survive the batch window is
-  /// dispatched solo.  1 (the default) preserves per-frame dispatch
-  /// exactly — same tasks, same replies, byte for byte.
+  /// draining.  A frame whose budget cannot survive the batch window goes
+  /// to the pool at once as a one-item batch.  1 (the default) makes
+  /// every read a one-item batch, one pool task per frame.
   std::size_t coalesce_max_batch = 1;
   /// Batch window: the longest a coalesced frame waits before its batch
   /// is flushed to the worker pool regardless of fill.
   std::uint32_t coalesce_wait_us = 500;
-  /// Bytes of the shared, device-keyed CRP response cache wired into the
-  /// coalesced predict path; 0 disables.  Per-frame dispatch never reads
-  /// it, so a coalesce-off server measures the uncached baseline.
+  /// Bytes of the shared, device-keyed CRP response cache that answers
+  /// every PREDICT, coalesced or not; 0 disables (the uncached
+  /// baseline).
   std::size_t response_cache_bytes = 0;
   /// Per-connection bound on queued reply bytes.  A peer that stops
   /// reading while replies keep arriving (a slow or blocked reader) is

@@ -87,9 +87,9 @@ struct CampaignOptions {
   int max_inflight = 16;
   /// Hard ceiling on restart recovery before it counts as a violation.
   double recovery_bound_ms = 5000.0;
-  /// Cross-connection coalescing knobs for the campaign server (the
-  /// batched serving path must hold the same invariants under faults as
-  /// per-frame dispatch; 1 would fall back to per-frame).
+  /// Cross-connection coalescing knobs for the campaign server (multi-
+  /// item batches must hold the same invariants under faults as one-item
+  /// ones; 1 would serve every read as a one-item batch).
   std::size_t coalesce_batch = 8;
   std::uint32_t coalesce_wait_us = 200;
   /// Server-side CRP response cache (bytes); the campaign exercises the

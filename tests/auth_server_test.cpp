@@ -294,6 +294,78 @@ TEST(AuthServer, DeadlineExpiryYieldsTypedReplyOnLiveConnection) {
   srv.stop();
 }
 
+TEST(AuthServer, QueuedReadsExpireTypedBeforeHydration) {
+  AuthServerOptions o = default_options();
+  o.threads = 1;  // a single worker, parked on purpose
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "authsrv_read_expiry");
+  AuthServer srv(reg, o);
+  ASSERT_TRUE(srv.start().is_ok());
+  const util::Deadline io = util::Deadline::after_seconds(10.0);
+
+  // Pipelined: PREDICT, VERIFY and a PREDICT for a never-enrolled id, each
+  // with a 40 ms budget that dies in the queue, then an unlimited PREDICT.
+  // Built before the worker parks, so only the queue wait burns budget.
+  constexpr std::uint64_t kUnknownId = 999;
+  util::Rng rng(24);
+  const Challenge c = random_challenge(shared_model().layout(), rng);
+  const protocol::ProverReport honest =
+      protocol::prove_with_ppuf(shared_puf(), c, kChipDelay);
+  std::vector<std::uint8_t> burst;
+  for (const std::vector<std::uint8_t>& f :
+       {net::encode_frame(MessageType::kPredictRequest, 1, device_id, 40,
+                          net::encode_predict_request(c)),
+        net::encode_frame(MessageType::kVerifyRequest, 2, device_id, 40,
+                          net::encode_verify_request(c, honest)),
+        net::encode_frame(MessageType::kPredictRequest, 3, kUnknownId, 40,
+                          net::encode_predict_request(c)),
+        net::encode_frame(MessageType::kPredictRequest, 4, device_id, 0,
+                          net::encode_predict_request(c))})
+    burst.insert(burst.end(), f.begin(), f.end());
+  const SimulationModel::Prediction want = shared_model().predict(c);
+  net::Socket sock;
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", srv.port(), 2000, &sock).is_ok());
+
+  // Park the only worker for 150 ms; the reads queue behind it.
+  net::Socket parker;
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", srv.port(), 2000, &parker).is_ok());
+  const std::vector<std::uint8_t> park = net::encode_frame(
+      MessageType::kPingRequest, 99, device_id, 0,
+      net::encode_ping_request(150));
+  ASSERT_TRUE(
+      net::send_all(parker.fd(), park.data(), park.size(), io).is_ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(
+      net::send_all(sock.fd(), burst.data(), burst.size(), io).is_ok());
+
+  for (int n = 0; n < 4; ++n) {
+    Frame reply;
+    ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
+    ASSERT_GE(reply.request_id, 1u);
+    ASSERT_LE(reply.request_id, 4u);
+    if (reply.request_id != 4) {
+      // Expiry is checked before the device resolves, so even the unknown
+      // id answers DEADLINE_EXCEEDED rather than UNKNOWN_DEVICE.
+      EXPECT_EQ(error_code_of(reply), WireCode::kDeadlineExceeded)
+          << "id " << reply.request_id;
+      continue;
+    }
+    ASSERT_EQ(reply.type, MessageType::kPredictReply);
+    SimulationModel::Prediction p;
+    ASSERT_TRUE(net::decode_predict_reply(reply.payload, &p).is_ok());
+    EXPECT_EQ(p.bit, want.bit);
+    EXPECT_EQ(p.flow_a, want.flow_a);
+    EXPECT_EQ(p.flow_b, want.flow_b);
+  }
+  Frame parked;
+  ASSERT_TRUE(net::read_frame(parker.fd(), &parked, io).is_ok());
+  EXPECT_EQ(parked.type, MessageType::kPingReply);
+  EXPECT_EQ(srv.stats().unknown_device_rejections, 0u);
+  srv.stop();
+}
+
 TEST(AuthServer, OverloadYieldsTypedRepliesWithoutBlockingAcceptor) {
   AuthServerOptions tiny = default_options();
   tiny.threads = 1;

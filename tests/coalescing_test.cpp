@@ -297,6 +297,60 @@ TEST(Coalescing, DifferentialMatchesPerFrameServing) {
 }
 
 // ---------------------------------------------------------------------------
+// The response cache serves every PREDICT, coalescing or not.
+
+TEST(Coalescing, ResponseCacheServesCoalesceOffServer) {
+  AuthServerOptions o = per_frame_options();
+  o.response_cache_bytes = 4 * 1024 * 1024;
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "coalesce_off_cache");
+  AuthServer srv(reg, o);
+  ASSERT_TRUE(srv.start().is_ok());
+
+  util::Rng rng(45);
+  std::vector<Challenge> challenges;
+  std::vector<SimulationModel::Prediction> want;
+  for (int i = 0; i < 6; ++i) {
+    challenges.push_back(random_challenge(shared_model().layout(), rng));
+    want.push_back(shared_model().predict(challenges.back()));
+  }
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  metrics.set_enabled(true);
+  const auto solves = [&] {
+    return metrics.counter_value("maxflow.push_relabel.solves");
+  };
+  std::vector<SimulationModel::Prediction> passes[2];
+  std::uint64_t pass_solves[2];
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::uint64_t before = solves();
+    ASSERT_TRUE(pipelined_client(srv.port(), device_id, /*depth=*/4)
+                    .predict_pipelined(challenges, &passes[pass])
+                    .is_ok());
+    pass_solves[pass] = solves() - before;
+  }
+  metrics.set_enabled(false);
+
+  // The first pass solves and fills the cache; the second solves nothing.
+  EXPECT_GT(pass_solves[0], 0u);
+  EXPECT_EQ(pass_solves[1], 0u);
+  for (const std::vector<SimulationModel::Prediction>& got : passes) {
+    ASSERT_EQ(got.size(), challenges.size());
+    for (std::size_t i = 0; i < challenges.size(); ++i) {
+      ASSERT_TRUE(got[i].ok()) << "item " << i;
+      EXPECT_EQ(got[i].bit, want[i].bit) << "item " << i;
+      EXPECT_EQ(got[i].flow_a, want[i].flow_a) << "item " << i;
+      EXPECT_EQ(got[i].flow_b, want[i].flow_b) << "item " << i;
+    }
+  }
+  const AuthServer::Stats st = srv.stats();
+  EXPECT_EQ(st.coalesced_batches, 0u);
+  EXPECT_EQ(st.coalesced_items, 0u);
+  EXPECT_EQ(st.solo_dispatches, 0u);
+  srv.stop();
+}
+
+// ---------------------------------------------------------------------------
 // Deadline mixing: one tight budget inside a batch of unlimited mates.
 
 TEST(Coalescing, MidBatchDeadlineExpiryDoesNotPoisonBatchMates) {
@@ -577,11 +631,17 @@ TEST(Coalescing, LateReplyNeverMisattributedAfterTimeout) {
   copts.device_id = device_id;
   AuthClient client("127.0.0.1", srv.port(), copts);
 
-  // The server will answer this ping at ~120 ms — after the client's 50 ms
-  // attempt budget.  The client must time out typed and DROP the socket,
-  // so the late reply dies with the connection instead of waiting to be
-  // misattributed to the next request.
-  Status s = client.ping(120);
+  // The server answers this ping at once, but the fault hook holds every
+  // server send (EAGAIN) until the client's 50 ms attempt budget is gone,
+  // so the reply is late on every run (a delayed handler would race its
+  // own typed DEADLINE_EXCEEDED against the client's timer).  The client
+  // must time out typed and DROP the socket, so the late reply dies with
+  // the connection instead of waiting to be misattributed to the next
+  // request.
+  auto& hooks = util::FaultHooks::instance();
+  hooks.server_send_block.store(true);
+  Status s = client.ping(0);
+  hooks.server_send_block.store(false);
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s.to_string();
   EXPECT_FALSE(client.connected());
 
@@ -592,7 +652,6 @@ TEST(Coalescing, LateReplyNeverMisattributedAfterTimeout) {
   // Same property under injected transport latency (the fault-hook path):
   // every client socket op stalls 200 ms, the 50 ms budget dies typed,
   // and the connection is torn down before the late bytes arrive.
-  auto& hooks = util::FaultHooks::instance();
   hooks.net_latency_ppm.store(1'000'000);
   hooks.net_latency_us.store(200'000);
   s = client.ping(0);
