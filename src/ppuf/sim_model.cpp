@@ -11,10 +11,21 @@
 
 namespace ppuf {
 
+SimulationModel::SimulationModel(const CrossbarLayout& layout)
+    : layout_(layout) {
+  const std::size_t n = layout_.node_count();
+  edge_cell_.reserve(layout_.edge_count());
+  for (graph::VertexId i = 0; i < n; ++i)
+    for (graph::VertexId j = 0; j < n; ++j)
+      if (i != j)
+        edge_cell_.push_back(
+            static_cast<std::uint32_t>(layout_.cell_of_edge(i, j)));
+}
+
 SimulationModel::SimulationModel(MaxFlowPpuf& instance,
                                  const circuit::Environment& env)
-    : layout_(instance.layout()),
-      comparator_offset_(instance.comparator_offset()) {
+    : SimulationModel(instance.layout()) {
+  comparator_offset_ = instance.comparator_offset();
   instance.prepare(env);
   const std::size_t edges = layout_.edge_count();
   for (int net = 0; net < 2; ++net) {
@@ -71,12 +82,49 @@ graph::Digraph SimulationModel::build_graph(int network,
   });
 }
 
+maxflow::CompleteKernel& SimulationModel::load_kernel(
+    int network, const Challenge& challenge) const {
+  if (challenge.bits.size() != layout_.cell_count())
+    throw std::invalid_argument("SimulationModel: challenge size mismatch");
+  if (network < 0 || network > 1)
+    throw std::invalid_argument("SimulationModel::capacity: bad index");
+  maxflow::CompleteKernel& kernel =
+      maxflow::CompleteKernel::for_thread(layout_.node_count());
+  const auto& caps = capacities_[network];
+  const std::span<double> out = kernel.capacities();
+  for (std::size_t e = 0; e < out.size(); ++e) {
+    const double c = caps[e][challenge.bits[edge_cell_[e]] ? 1 : 0];
+    if (c < 0.0)
+      throw std::invalid_argument("SimulationModel: negative capacity");
+    out[e] = c;
+  }
+  return kernel;
+}
+
+maxflow::FlowResult SimulationModel::solve(int network,
+                                           const Challenge& challenge,
+                                           maxflow::Algorithm algorithm,
+                                           const util::SolveControl& control,
+                                           bool edge_flows) const {
+  if (algorithm != maxflow::Algorithm::kPushRelabel) {
+    const graph::Digraph g = build_graph(network, challenge);
+    return maxflow::make_solver(algorithm)->solve(
+        {&g, challenge.source, challenge.sink}, control);
+  }
+  maxflow::CompleteKernel& kernel = load_kernel(network, challenge);
+  maxflow::FlowResult r =
+      kernel.push_relabel(challenge.source, challenge.sink, control);
+  if (edge_flows) {
+    r.edge_flow.resize(kernel.edge_count());
+    kernel.edge_flows(r.edge_flow);
+  }
+  return r;
+}
+
 double SimulationModel::predicted_flow(int network,
                                        const Challenge& challenge,
                                        maxflow::Algorithm algorithm) const {
-  const graph::Digraph g = build_graph(network, challenge);
-  const graph::FlowProblem problem{&g, challenge.source, challenge.sink};
-  return maxflow::make_solver(algorithm)->solve(problem).value;
+  return solve(network, challenge, algorithm).value;
 }
 
 void SimulationModel::save(std::ostream& os) const {
@@ -130,11 +178,8 @@ SimulationModel::Prediction SimulationModel::predict(
     const Challenge& challenge, maxflow::Algorithm algorithm,
     const util::SolveControl& control) const {
   Prediction p;
-  const auto solver = maxflow::make_solver(algorithm);
   for (int net = 0; net < 2; ++net) {
-    const graph::Digraph g = build_graph(net, challenge);
-    const auto r =
-        solver->solve({&g, challenge.source, challenge.sink}, control);
+    const maxflow::FlowResult r = solve(net, challenge, algorithm, control);
     (net == 0 ? p.flow_a : p.flow_b) = r.value;
     if (!r.ok()) {
       // A stopped solve proves nothing about either network: surface the

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "maxflow/complete_kernel.hpp"
 #include "maxflow/solver.hpp"
 #include "ppuf/ppuf.hpp"
 #include "ppuf/response_cache.hpp"
@@ -62,6 +63,23 @@ class SimulationModel {
   /// Max-flow instance of one network under a challenge.  The returned
   /// graph is finalized, with edge ids matching the crossbar layout.
   graph::Digraph build_graph(int network, const Challenge& challenge) const;
+
+  /// The calling thread's flat K_n kernel with the capacities of one
+  /// network under a challenge loaded: the serving-path twin of
+  /// build_graph(), with the same capacities in the same edge order and
+  /// the same std::invalid_argument on a malformed challenge.  Valid until
+  /// the thread's next load_kernel().
+  maxflow::CompleteKernel& load_kernel(int network,
+                                       const Challenge& challenge) const;
+
+  /// Max-flow of one network under a challenge.  Push-relabel runs on the
+  /// flat kernel (bit-identical to PushRelabel on build_graph(), without
+  /// building it) and fills edge_flow only when `edge_flows` is set; the
+  /// other algorithms solve build_graph().
+  maxflow::FlowResult solve(int network, const Challenge& challenge,
+                            maxflow::Algorithm algorithm,
+                            const util::SolveControl& control = {},
+                            bool edge_flows = false) const;
 
   /// Max-flow value of one network under a challenge.
   double predicted_flow(int network, const Challenge& challenge,
@@ -137,9 +155,12 @@ class SimulationModel {
   double mean_capacity() const;
 
  private:
-  explicit SimulationModel(const CrossbarLayout& layout) : layout_(layout) {}
+  explicit SimulationModel(const CrossbarLayout& layout);
 
   CrossbarLayout layout_;
+  // Grid cell of each edge, in edge-id order: the challenge bit that picks
+  // the edge's capacity.
+  std::vector<std::uint32_t> edge_cell_;
   // capacities_[network][edge][bit]
   std::array<std::vector<std::array<double, 2>>, 2> capacities_;
   double comparator_offset_ = 0.0;

@@ -4,8 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "maxflow/verify.hpp"
+#include "maxflow/complete_kernel.hpp"
 #include "obs/metrics.hpp"
 
 namespace ppuf::protocol {
@@ -30,23 +31,48 @@ std::string report_shape_error(const ProverReport& report) {
   return {};
 }
 
-/// Per-network checks that need the graph: claimed flow vector must match
-/// the edge count and contain only finite entries.
-std::string flow_vector_error(const graph::Digraph& g,
-                              const std::vector<double>& flow,
-                              const char* which) {
-  if (flow.size() != g.edge_count()) {
-    return std::string("malformed report: ") + which + " has " +
-           std::to_string(flow.size()) + " entries, graph has " +
-           std::to_string(g.edge_count()) + " edges";
-  }
-  for (const double f : flow) {
-    if (!std::isfinite(f))
-      return std::string("malformed report: ") + which +
-             " contains a non-finite flow";
+/// The residual-graph test of both claimed flows, the cheap side of the
+/// asymmetry, run on the flat K_n kernel: each witness must have one finite
+/// entry per edge and be feasible and maximum.  Returns the first failure,
+/// labelled by network; empty when both witnesses pass.
+std::string witness_error(const SimulationModel& model,
+                          const Challenge& challenge,
+                          const ProverReport& report, double tolerance) {
+  for (int net = 0; net < 2; ++net) {
+    const std::string label = net == 0 ? "network A: " : "network B: ";
+    const char* which = net == 0 ? "edge_flow_a" : "edge_flow_b";
+    const auto& flow = net == 0 ? report.edge_flow_a : report.edge_flow_b;
+    maxflow::CompleteKernel& kernel = model.load_kernel(net, challenge);
+    if (flow.size() != kernel.edge_count()) {
+      return label + "malformed report: " + which + " has " +
+             std::to_string(flow.size()) + " entries, graph has " +
+             std::to_string(kernel.edge_count()) + " edges";
+    }
+    for (const double f : flow) {
+      if (!std::isfinite(f))
+        return label + "malformed report: " + which +
+               " contains a non-finite flow";
+    }
+    try {
+      const maxflow::VerifyResult v = kernel.verify(
+          challenge.source, challenge.sink, flow, tolerance);
+      if (!v.optimal) return label + v.reason;
+    } catch (const std::exception& e) {
+      return label + "verification error: " + e.what();
+    }
   }
   return {};
 }
+
+/// The response bit the claimed flow values imply.
+int implied_bit(const SimulationModel& model, const ProverReport& report) {
+  return (report.flow_a - report.flow_b + model.comparator_offset()) > 0.0
+             ? 1
+             : 0;
+}
+
+constexpr const char* kBitInconsistent =
+    "response bit inconsistent with claimed flows";
 
 }  // namespace
 
@@ -74,38 +100,13 @@ AuthenticationResult Verifier::verify(const Challenge& challenge,
     return result;
   }
 
-  // Residual-graph verification (cheap, parallelizable): feasibility plus
-  // no remaining augmenting path, per network.
-  for (int net = 0; net < 2; ++net) {
-    const char* label = net == 0 ? "network A: " : "network B: ";
-    const char* which = net == 0 ? "edge_flow_a" : "edge_flow_b";
-    const auto& flow = net == 0 ? report.edge_flow_a : report.edge_flow_b;
-    const graph::Digraph g = model_.build_graph(net, challenge);
-    const std::string shape = flow_vector_error(g, flow, which);
-    if (!shape.empty()) {
-      result.detail = label + shape;
-      return result;
-    }
-    try {
-      const maxflow::VerifyResult v = maxflow::verify_flow(
-          g, challenge.source, challenge.sink, flow, tolerance_, threads_);
-      if (!v.optimal) {
-        result.detail = label + v.reason;
-        return result;
-      }
-    } catch (const std::exception& e) {
-      result.detail = label + std::string("verification error: ") + e.what();
-      return result;
-    }
-  }
+  result.detail = witness_error(model_, challenge, report, tolerance_);
+  if (!result.detail.empty()) return result;
   result.flows_valid = true;
 
-  const int expected_bit =
-      (report.flow_a - report.flow_b + model_.comparator_offset()) > 0.0 ? 1
-                                                                         : 0;
-  result.bit_consistent = report.bit == expected_bit;
+  result.bit_consistent = report.bit == implied_bit(model_, report);
   if (!result.bit_consistent) {
-    result.detail = "response bit inconsistent with claimed flows";
+    result.detail = kBitInconsistent;
     return result;
   }
 
@@ -173,48 +174,6 @@ ProverReport prove_with_ppuf(MaxFlowPpuf& instance,
   return r;
 }
 
-namespace {
-
-/// Flow-claims check for one round (no deadline involvement).
-bool round_flows_ok(const SimulationModel& model, const Challenge& challenge,
-                    const ProverReport& report, double tolerance,
-                    unsigned threads, std::string* why) {
-  *why = report_shape_error(report);
-  if (!why->empty()) return false;
-  for (int net = 0; net < 2; ++net) {
-    const char* label = net == 0 ? "network A: " : "network B: ";
-    const char* which = net == 0 ? "edge_flow_a" : "edge_flow_b";
-    const auto& flow = net == 0 ? report.edge_flow_a : report.edge_flow_b;
-    const graph::Digraph g = model.build_graph(net, challenge);
-    const std::string shape = flow_vector_error(g, flow, which);
-    if (!shape.empty()) {
-      *why = label + shape;
-      return false;
-    }
-    try {
-      const maxflow::VerifyResult v = maxflow::verify_flow(
-          g, challenge.source, challenge.sink, flow, tolerance, threads);
-      if (!v.optimal) {
-        *why = label + v.reason;
-        return false;
-      }
-    } catch (const std::exception& e) {
-      *why = label + std::string("verification error: ") + e.what();
-      return false;
-    }
-  }
-  const int expected =
-      (report.flow_a - report.flow_b + model.comparator_offset()) > 0.0 ? 1
-                                                                        : 0;
-  if (report.bit != expected) {
-    *why = "response bit inconsistent with claimed flows";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 ChainedVerifyResult verify_chain(const Verifier& verifier,
                                  const SimulationModel& model,
                                  const Challenge& first, std::size_t k,
@@ -267,10 +226,13 @@ ChainedVerifyResult verify_chain(const Verifier& verifier,
     }
   }
   for (const std::size_t i : to_check) {
-    std::string why;
-    if (!round_flows_ok(model, chain[i], report.rounds[i],
-                        verifier.flow_tolerance(), verifier.verify_threads(),
-                        &why)) {
+    const ProverReport& round = report.rounds[i];
+    std::string why = report_shape_error(round);
+    if (why.empty())
+      why = witness_error(model, chain[i], round, verifier.flow_tolerance());
+    if (why.empty() && round.bit != implied_bit(model, round))
+      why = kBitInconsistent;
+    if (!why.empty()) {
       result.detail = "round " + std::to_string(i) + ": " + why;
       return result;
     }
@@ -344,18 +306,16 @@ ProverReport prove_by_simulation(const SimulationModel& model,
                                  maxflow::Algorithm algorithm,
                                  const util::SolveControl& control) {
   const auto t0 = std::chrono::steady_clock::now();
-  const auto solver = maxflow::make_solver(algorithm);
   ProverReport r;
   for (int net = 0; net < 2; ++net) {
-    const graph::Digraph g = model.build_graph(net, challenge);
-    const graph::FlowProblem problem{&g, challenge.source, challenge.sink};
-    const maxflow::FlowResult flow = solver->solve(problem, control);
+    maxflow::FlowResult flow = model.solve(net, challenge, algorithm, control,
+                                           /*edge_flows=*/true);
     if (net == 0) {
       r.flow_a = flow.value;
-      r.edge_flow_a = flow.edge_flow;
+      r.edge_flow_a = std::move(flow.edge_flow);
     } else {
       r.flow_b = flow.value;
-      r.edge_flow_b = flow.edge_flow;
+      r.edge_flow_b = std::move(flow.edge_flow);
     }
     if (!flow.ok()) {
       // Partial flows are kept for inspection, but the typed status tells
@@ -364,7 +324,7 @@ ProverReport prove_by_simulation(const SimulationModel& model,
       break;
     }
   }
-  r.bit = (r.flow_a - r.flow_b + model.comparator_offset()) > 0.0 ? 1 : 0;
+  r.bit = implied_bit(model, r);
   r.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

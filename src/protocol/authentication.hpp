@@ -55,7 +55,9 @@ class Verifier {
   /// checking the holder's analog flow claims: the *value* error is <1%
   /// (Fig. 6), but individual min-cut edges can sit up to ~8% of the mean
   /// capacity below saturation when short on voltage headroom, so ~10% of
-  /// the mean edge capacity is a robust setting.
+  /// the mean edge capacity is a robust setting.  `verify_threads` is the
+  /// default item parallelism of verify_batch(); one verify() always runs
+  /// on the calling thread.
   Verifier(const SimulationModel& model, double deadline_seconds,
            double flow_tolerance, unsigned verify_threads = 1);
 

@@ -16,6 +16,7 @@
 #include "ppuf/ppuf.hpp"
 #include "ppuf/response_cache.hpp"
 #include "ppuf/sim_model.hpp"
+#include "protocol/authentication.hpp"
 #include "testing/fault_injection.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -327,6 +328,60 @@ TEST_F(BatchConcurrencyTest, SharedPoolServesConcurrentBatchFronts) {
   for (int round = 0; round < 3; ++round) {
     expect_bitwise_equal(baseline, model_->predict_batch(batch, pooled),
                          "round " + std::to_string(round));
+  }
+}
+
+TEST_F(BatchConcurrencyTest, FlatKernelScratchIsPerThread) {
+  // predict and verify both run on the calling thread's reusable K_n
+  // scratch.  A predict_batch on a shared pool racing a verify_batch on
+  // four transient workers must still give every item its serial answer.
+  const std::vector<Challenge> batch = challenges_with_repeats(24, 31);
+  const protocol::Verifier verifier(*model_, /*deadline_seconds=*/1e9,
+                                    0.1 * model_->mean_capacity());
+  std::vector<protocol::ProverReport> reports;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    protocol::ProverReport r = protocol::prove_by_simulation(*model_,
+                                                             batch[i]);
+    // Every third report is forged (half of every flow: feasible, not
+    // maximum) so the rejection path runs concurrently too.
+    if (i % 3 == 2) {
+      for (double& f : r.edge_flow_a) f *= 0.5;
+      for (double& f : r.edge_flow_b) f *= 0.5;
+    }
+    reports.push_back(std::move(r));
+  }
+
+  const auto predicted = model_->predict_batch(batch, {});
+  const auto verified = verifier.verify_batch(batch, reports);
+  std::size_t rejected = 0;
+  for (const auto& v : verified) rejected += v.accepted ? 0 : 1;
+  ASSERT_EQ(rejected, batch.size() / 3);
+
+  util::ThreadPool pool(4);
+  SimulationModel::PredictBatchOptions pooled;
+  pooled.pool = &pool;
+  protocol::Verifier::BatchVerifyOptions four;
+  four.thread_count = 4;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<protocol::AuthenticationResult> concurrent;
+    std::thread verify_front(
+        [&] { concurrent = verifier.verify_batch(batch, reports, four); });
+    const auto pooled_predictions = model_->predict_batch(batch, pooled);
+    verify_front.join();
+
+    const std::string label = "round " + std::to_string(round);
+    expect_bitwise_equal(predicted, pooled_predictions, label);
+    ASSERT_EQ(concurrent.size(), verified.size()) << label;
+    for (std::size_t i = 0; i < verified.size(); ++i) {
+      EXPECT_EQ(concurrent[i].accepted, verified[i].accepted)
+          << label << " item " << i;
+      EXPECT_EQ(concurrent[i].flows_valid, verified[i].flows_valid)
+          << label << " item " << i;
+      EXPECT_EQ(concurrent[i].bit_consistent, verified[i].bit_consistent)
+          << label << " item " << i;
+      EXPECT_EQ(concurrent[i].detail, verified[i].detail)
+          << label << " item " << i;
+    }
   }
 }
 
