@@ -67,7 +67,6 @@ struct MaterializeOptions {
   /// Tolerance knob in backend-native units: max-flow scales it by the
   /// model's mean edge capacity; PDL applies it to delay margins directly.
   double flow_tolerance_fraction = 0.10;
-  unsigned verify_threads = 1;
 };
 
 /// One hydrated device.  Instances are heap-allocated and never moved

@@ -22,8 +22,7 @@ class MaxFlowDevice final : public Device {
   MaxFlowDevice(SimulationModel model, const MaterializeOptions& options)
       : model_(std::move(model)),
         verifier_(model_, options.verifier_deadline_seconds,
-                  model_.mean_capacity() * options.flow_tolerance_fraction,
-                  options.verify_threads) {}
+                  model_.mean_capacity() * options.flow_tolerance_fraction) {}
 
   BackendKind kind() const override { return BackendKind::kMaxFlow; }
 

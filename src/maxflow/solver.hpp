@@ -24,9 +24,8 @@ struct FlowResult {
   /// Typed outcome.  Ok on a completed solve; kDeadlineExceeded /
   /// kCancelled when a SolveControl stopped the solve early (value and
   /// edge_flow then hold the partial internal state — a preflow for
-  /// push-relabel — and must not be treated as a maximum flow);
-  /// kInvalidArgument / kInternal are produced by solve_batch for items
-  /// whose solve threw.
+  /// push-relabel — and must not be treated as a maximum flow).  Malformed
+  /// instances throw rather than returning a status.
   util::Status status;
 
   bool ok() const { return status.is_ok(); }

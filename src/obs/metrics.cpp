@@ -304,10 +304,6 @@ void register_standard_metrics(MetricsRegistry& registry) {
   }
 
   // Batch fronts: per-item latency plus outcome counters.
-  registry.counter("maxflow.batch.items");
-  registry.counter("maxflow.batch.item_failures");
-  registry.counter("maxflow.batch.retries");
-  registry.histogram("maxflow.batch.item_time_us");
   registry.counter("ppuf.predict_batch.items");
   registry.counter("ppuf.predict_batch.cache_hits");
   registry.counter("ppuf.predict_batch.item_failures");

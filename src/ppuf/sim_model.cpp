@@ -251,7 +251,7 @@ std::vector<SimulationModel::Prediction> SimulationModel::predict_batch(
         return;
       }
     }
-    results[i] = predict(c, options.algorithm, item_control);
+    results[i] = predict(c, maxflow::Algorithm::kPushRelabel, item_control);
     if (m_failures != nullptr && !results[i].ok()) m_failures->add();
     if (options.cache != nullptr && results[i].ok()) {
       options.cache->insert(

@@ -107,7 +107,6 @@ class SimulationModel {
                      const util::SolveControl& control = {}) const;
 
   struct PredictBatchOptions {
-    maxflow::Algorithm algorithm = maxflow::Algorithm::kPushRelabel;
     /// Workers for the transient pool when `pool` is null.
     unsigned thread_count = 1;
     /// Optional shared pool (non-owning); preferred for services.
@@ -139,10 +138,11 @@ class SimulationModel {
     std::vector<util::Deadline> deadlines{};
   };
 
-  /// Predict a whole batch of challenges.  Results are in input order, one
-  /// Prediction per challenge, and are bitwise independent of the worker
-  /// count and of cache hits (a hit returns exactly what the solve
-  /// produced when the entry was filled).
+  /// Predict a whole batch of challenges; a cache miss runs predict() with
+  /// push-relabel.  Results are in input order, one Prediction per
+  /// challenge, and are bitwise independent of the worker count and of
+  /// cache hits (a hit returns exactly what the solve produced when the
+  /// entry was filled).
   std::vector<Prediction> predict_batch(
       const std::vector<Challenge>& challenges,
       const PredictBatchOptions& options) const;

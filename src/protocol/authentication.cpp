@@ -77,11 +77,8 @@ constexpr const char* kBitInconsistent =
 }  // namespace
 
 Verifier::Verifier(const SimulationModel& model, double deadline_seconds,
-                   double flow_tolerance, unsigned verify_threads)
-    : model_(model),
-      deadline_(deadline_seconds),
-      tolerance_(flow_tolerance),
-      threads_(verify_threads) {}
+                   double flow_tolerance)
+    : model_(model), deadline_(deadline_seconds), tolerance_(flow_tolerance) {}
 
 Challenge Verifier::issue_challenge(util::Rng& rng) const {
   return random_challenge(model_.layout(), rng);
@@ -136,14 +133,12 @@ std::vector<AuthenticationResult> Verifier::verify_batch(
     results[i] = verify(challenges[i], reports[i]);
   };
 
-  const unsigned threads =
-      options.thread_count != 0 ? options.thread_count : threads_;
-  if (options.pool == nullptr && threads <= 1) {
+  if (options.pool == nullptr && options.thread_count <= 1) {
     for (std::size_t i = 0; i < challenges.size(); ++i) run_item(i);
   } else if (options.pool != nullptr) {
     options.pool->parallel_for(challenges.size(), run_item);
   } else {
-    util::ThreadPool pool(threads);
+    util::ThreadPool pool(options.thread_count);
     pool.parallel_for(challenges.size(), run_item);
   }
 

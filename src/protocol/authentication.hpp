@@ -55,11 +55,9 @@ class Verifier {
   /// checking the holder's analog flow claims: the *value* error is <1%
   /// (Fig. 6), but individual min-cut edges can sit up to ~8% of the mean
   /// capacity below saturation when short on voltage headroom, so ~10% of
-  /// the mean edge capacity is a robust setting.  `verify_threads` is the
-  /// default item parallelism of verify_batch(); one verify() always runs
-  /// on the calling thread.
+  /// the mean edge capacity is a robust setting.
   Verifier(const SimulationModel& model, double deadline_seconds,
-           double flow_tolerance, unsigned verify_threads = 1);
+           double flow_tolerance);
 
   Challenge issue_challenge(util::Rng& rng) const;
 
@@ -67,8 +65,8 @@ class Verifier {
                               const ProverReport& report) const;
 
   struct BatchVerifyOptions {
-    /// Workers for the transient pool when `pool` is null; 0 means "use
-    /// the verifier's configured verify_threads()".
+    /// Workers for the transient pool when `pool` is null; 0 or 1 runs
+    /// the batch serially on the calling thread.
     unsigned thread_count = 0;
     /// Optional shared pool (non-owning).  A verifier serving heavy
     /// authentication traffic should hold one pool for its lifetime.
@@ -94,13 +92,11 @@ class Verifier {
 
   double deadline_seconds() const { return deadline_; }
   double flow_tolerance() const { return tolerance_; }
-  unsigned verify_threads() const { return threads_; }
 
  private:
   const SimulationModel& model_;
   double deadline_;
   double tolerance_;
-  unsigned threads_;
 };
 
 /// Honest prover: executes the PPUF and reports its edge currents; elapsed

@@ -92,7 +92,6 @@ util::Status HydrationCache::get(
         backend::MaterializeOptions mopts;
         mopts.verifier_deadline_seconds = options_.verifier_deadline_seconds;
         mopts.flow_tolerance_fraction = options_.flow_tolerance_fraction;
-        mopts.verify_threads = options_.verify_threads;
         std::unique_ptr<backend::Device> dev;
         status = impl->materialize(model_bytes, mopts, &dev);
         if (status.is_ok())

@@ -63,7 +63,6 @@ class HydrationCache {
     /// tolerance is flow_tolerance_fraction * model.mean_capacity().
     double verifier_deadline_seconds = 1.0;
     double flow_tolerance_fraction = 0.10;
-    unsigned verify_threads = 1;
   };
 
   /// `registry` must outlive the cache.

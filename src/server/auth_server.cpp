@@ -52,7 +52,6 @@ registry::HydrationCache::Options hydration_options(
   o.max_entries = options.hydration_cache_entries;
   o.verifier_deadline_seconds = options.verifier_deadline_seconds;
   o.flow_tolerance_fraction = options.flow_tolerance_fraction;
-  o.verify_threads = 1;
   return o;
 }
 
@@ -685,7 +684,6 @@ void AuthServer::Impl::run_batch(std::uint64_t device_id,
       }
     }
     if (!predicted.empty()) {
-      popts.algorithm = maxflow::Algorithm::kPushRelabel;
       popts.thread_count = 1;  // inline: this IS a pool worker already
       popts.cache = response_cache ? &*response_cache : nullptr;
       popts.cache_device_id = device_id;

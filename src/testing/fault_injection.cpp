@@ -12,8 +12,6 @@ ScopedFaultInjection::ScopedFaultInjection(const FaultSpec& spec) {
                                           std::memory_order_relaxed);
   hooks.newton_skip_gmin_stage.store(spec.newton_skip_gmin_stage,
                                      std::memory_order_relaxed);
-  hooks.maxflow_transient_failures.store(spec.maxflow_transient_failures,
-                                         std::memory_order_relaxed);
   hooks.server_send_failures.store(spec.server_send_failures,
                                    std::memory_order_relaxed);
   hooks.registry_torn_write_bytes.store(spec.registry_torn_write_bytes,
@@ -56,18 +54,6 @@ circuit::Netlist FaultInjector::perturb_devices(
     m.params.vth += rng_.gaussian(0.0, vth_sigma);
   for (circuit::Netlist::Resistor& r : out.resistors())
     r.resistance *= 1.0 + rng_.gaussian(0.0, resistor_rel_sigma);
-  return out;
-}
-
-graph::Digraph FaultInjector::corrupt_capacities(
-    const graph::Digraph& g, const std::vector<graph::EdgeId>& edges,
-    double poison) {
-  graph::Digraph out = g;
-  for (const graph::EdgeId e : edges) {
-    if (e >= out.edge_count())
-      throw std::invalid_argument("corrupt_capacities: edge id out of range");
-    out.set_capacity(e, poison);
-  }
   return out;
 }
 

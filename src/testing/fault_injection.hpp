@@ -10,7 +10,7 @@
 //     atomic hook points the solvers consult) and restores a clean slate on
 //     scope exit, so a failing test cannot leak faults into the next one;
 //   - FaultInjector derives corrupted copies of real inputs: perturbed
-//     device parameters, NaN/inf capacities, delayed prover reports.
+//     device parameters, delayed prover reports.
 //
 // The harness lives above every subsystem it corrupts; production code
 // never links it.
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "circuit/netlist.hpp"
-#include "graph/digraph.hpp"
 #include "protocol/authentication.hpp"
 #include "util/fault_hooks.hpp"
 #include "util/rng.hpp"
@@ -35,8 +34,6 @@ struct FaultSpec {
   /// Skip the gmin-stepping rung so a test can pin which deeper rung
   /// recovers.
   bool newton_skip_gmin_stage = false;
-  /// The next N batch solve attempts fail with util::TransientError.
-  int maxflow_transient_failures = 0;
   /// The next N AuthServer socket sends fail as if the peer reset the
   /// connection (deterministic close-mid-pipeline).
   int server_send_failures = 0;
@@ -79,13 +76,6 @@ class FaultInjector {
   circuit::Netlist perturb_devices(const circuit::Netlist& netlist,
                                    double vth_sigma,
                                    double resistor_rel_sigma);
-
-  /// Copy of `g` with the capacity of each listed edge replaced by
-  /// `poison` (NaN and +inf are the interesting values — Digraph already
-  /// rejects negatives at the API boundary).
-  graph::Digraph corrupt_capacities(const graph::Digraph& g,
-                                    const std::vector<graph::EdgeId>& edges,
-                                    double poison);
 
   /// The report a too-slow prover would send: same claims, elapsed time
   /// pushed past whatever it was by `delay_seconds`.

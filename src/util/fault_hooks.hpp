@@ -2,10 +2,10 @@
 //
 // The deterministic fault harness (src/testing/fault_injection.*) needs to
 // reach *inside* the solvers — e.g. starve the direct Newton stage so the
-// recovery ladder provably fires, or make a batch worker fail transiently so
-// the retry path is exercised.  Those layers must not link against the test
-// harness, so the hooks live here, at the bottom of the dependency graph:
-// a handful of atomics the solvers consult with one relaxed load each.
+// recovery ladder provably fires.  Those layers must not link against the
+// test harness, so the hooks live here, at the bottom of the dependency
+// graph: a handful of atomics the solvers consult with one relaxed load
+// each.
 //
 // Two kinds of hooks coexist:
 //
@@ -43,10 +43,6 @@ struct FaultHooks {
   /// true: skip the gmin-stepping rung so a forced stall escalates to
   /// source stepping / tightened damping (lets tests pin the deeper rungs).
   std::atomic<bool> newton_skip_gmin_stage{false};
-
-  /// > 0: countdown of batch solve attempts that throw util::TransientError
-  /// before doing any work (exercises solve_batch's bounded retry).
-  std::atomic<int> maxflow_transient_failures{0};
 
   /// > 0: countdown of FrameServer socket sends that fail as if the peer
   /// reset the connection (the hard-error branch of flush()).  Lets tests
@@ -139,12 +135,6 @@ struct FaultHooks {
 
   static std::uint64_t total_faults_injected() {
     return instance().faults_injected.load(std::memory_order_relaxed);
-  }
-
-  /// Atomically consume one injected transient failure; true when the
-  /// calling solve attempt should fail.
-  static bool consume_transient_failure() {
-    return count(consume_countdown(instance().maxflow_transient_failures));
   }
 
   /// Atomically consume one injected send failure; true when the calling
@@ -245,7 +235,6 @@ struct FaultHooks {
   void reset() {
     newton_direct_iteration_cap.store(0, std::memory_order_relaxed);
     newton_skip_gmin_stage.store(false, std::memory_order_relaxed);
-    maxflow_transient_failures.store(0, std::memory_order_relaxed);
     server_send_failures.store(0, std::memory_order_relaxed);
     server_send_block.store(false, std::memory_order_relaxed);
     registry_torn_write_bytes.store(-1, std::memory_order_relaxed);

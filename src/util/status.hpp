@@ -12,18 +12,14 @@
 //   - Deadline: an absolute wall-clock budget (steady clock).
 //   - CancelToken: a shared flag for cooperative cancellation.
 //   - SolveControl: the pair (deadline, cancel token) threaded through the
-//     max-flow solvers and batch front end.
+//     max-flow solvers and the batch front ends.
 //   - StopCheck: a cheap periodic checker for inner loops (one relaxed
 //     atomic load per call; the clock is read only every `stride` calls).
-//   - TransientError: an exception type marking failures that are worth
-//     retrying (injected faults, resource exhaustion), as opposed to
-//     deterministic ones (malformed input) that are not.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 namespace ppuf::util {
@@ -171,14 +167,6 @@ class StopCheck {
   std::uint32_t stride_;
   std::uint32_t count_ = 0;
   StatusCode code_ = StatusCode::kOk;
-};
-
-/// Failure worth retrying (injected fault, transient resource exhaustion).
-/// solve_batch retries these up to BatchOptions::max_attempts; every other
-/// exception type is treated as deterministic and fails the item at once.
-class TransientError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
 };
 
 }  // namespace ppuf::util

@@ -4,9 +4,9 @@
 // asymmetry — it must answer many authentication requests per second, each
 // a handful of independent residual-graph checks or max-flow solves.  That
 // workload is embarrassingly parallel *across* items, so the batch front
-// ends (maxflow::solve_batch, SimulationModel::predict_batch,
-// protocol::Verifier::verify_batch) all funnel into this one pool instead
-// of each spawning ad-hoc std::threads per call.
+// ends (SimulationModel::predict_batch, protocol::Verifier::verify_batch)
+// both funnel into this one pool instead of each spawning ad-hoc
+// std::threads per call.
 //
 // Design:
 //   - `thread_count` workers are spawned once and live for the pool's

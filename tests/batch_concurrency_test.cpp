@@ -1,9 +1,9 @@
-// Property tests for the concurrent evaluation engine: worker count, cache
-// state and injected transient faults must never change WHAT a batch
-// computes — only how fast.  Every assertion here is bitwise (exact double
-// equality), because "close enough" across thread counts is exactly the
-// kind of symptom a data race produces.  The suite is sized to stay fast
-// under ASan/UBSan/TSan, where it earns its keep.
+// Property tests for the concurrent evaluation engine: worker count and
+// cache state must never change WHAT a batch computes — only how fast.
+// Every assertion here is bitwise (exact double equality), because "close
+// enough" across thread counts is exactly the kind of symptom a data race
+// produces.  The suite is sized to stay fast under ASan/UBSan/TSan, where
+// it earns its keep.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,12 +12,10 @@
 #include <thread>
 #include <vector>
 
-#include "maxflow/batch.hpp"
 #include "ppuf/ppuf.hpp"
 #include "ppuf/response_cache.hpp"
 #include "ppuf/sim_model.hpp"
 #include "protocol/authentication.hpp"
-#include "testing/fault_injection.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -82,8 +80,13 @@ TEST_F(BatchConcurrencyTest, PredictBatchIdenticalAcrossThreadCounts) {
 
   SimulationModel::PredictBatchOptions serial;
   serial.thread_count = 1;
+  EXPECT_TRUE(model_->predict_batch({}, serial).empty());
   const auto baseline = model_->predict_batch(batch, serial);
   for (const auto& p : baseline) ASSERT_TRUE(p.ok());
+  // Input order: item i is exactly predict() of challenge i.
+  std::vector<SimulationModel::Prediction> one_by_one;
+  for (const Challenge& c : batch) one_by_one.push_back(model_->predict(c));
+  expect_bitwise_equal(baseline, one_by_one, "predict() per item");
 
   for (const unsigned threads : {2u, 4u}) {
     util::ThreadPool pool(threads);
@@ -126,77 +129,6 @@ TEST_F(BatchConcurrencyTest, PredictBatchIdenticalWithAndWithoutCache) {
                          "parallel cached, warm");
     EXPECT_EQ(cache.stats().hits - warm_before.hits, batch.size());
     EXPECT_EQ(cache.stats().misses, warm_before.misses);
-  }
-}
-
-TEST_F(BatchConcurrencyTest, SolveBatchIdenticalUnderTransientFaults) {
-  // Build independent flow problems from the model's graphs.
-  const std::vector<Challenge> cs = challenges_with_repeats(24, 13);
-  std::vector<graph::Digraph> graphs;
-  graphs.reserve(cs.size());
-  for (const auto& c : cs) graphs.push_back(model_->build_graph(0, c));
-  std::vector<graph::FlowProblem> problems;
-  problems.reserve(cs.size());
-  for (std::size_t i = 0; i < cs.size(); ++i)
-    problems.push_back({&graphs[i], cs[i].source, cs[i].sink});
-
-  // Two injected transient failures against three attempts per item: even
-  // if one unlucky item absorbs both faults it still completes, so the
-  // OUTCOME is deterministic although WHICH worker absorbs a fault is not.
-  auto run = [&](unsigned threads) {
-    testing::FaultSpec spec;
-    spec.maxflow_transient_failures = 2;
-    const testing::ScopedFaultInjection fault(spec);
-    maxflow::BatchOptions options;
-    options.thread_count = threads;
-    options.max_attempts = 3;
-    return maxflow::solve_batch(problems, maxflow::Algorithm::kPushRelabel,
-                                options);
-  };
-
-  const auto serial = run(1);
-  const auto parallel = run(4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(serial[i].ok()) << "item " << i;
-    EXPECT_TRUE(parallel[i].ok()) << "item " << i;
-    EXPECT_EQ(serial[i].value, parallel[i].value) << "item " << i;
-    ASSERT_EQ(serial[i].edge_flow.size(), parallel[i].edge_flow.size());
-    for (std::size_t e = 0; e < serial[i].edge_flow.size(); ++e) {
-      EXPECT_EQ(serial[i].edge_flow[e], parallel[i].edge_flow[e])
-          << "item " << i << " edge " << e;
-    }
-  }
-}
-
-TEST_F(BatchConcurrencyTest, FaultsExceedingRetriesFailItemsNotBatch) {
-  // More injected faults than one item's retry budget: some items land in
-  // kInternal, the rest complete, and no worker count turns a per-item
-  // failure into a batch failure.
-  const std::vector<Challenge> cs = challenges_with_repeats(8, 17);
-  std::vector<graph::Digraph> graphs;
-  for (const auto& c : cs) graphs.push_back(model_->build_graph(0, c));
-  std::vector<graph::FlowProblem> problems;
-  for (std::size_t i = 0; i < cs.size(); ++i)
-    problems.push_back({&graphs[i], cs[i].source, cs[i].sink});
-
-  for (const unsigned threads : {1u, 4u}) {
-    testing::FaultSpec spec;
-    spec.maxflow_transient_failures = 2;
-    const testing::ScopedFaultInjection fault(spec);
-    maxflow::BatchOptions options;
-    options.thread_count = threads;
-    options.max_attempts = 1;  // no retries: two items must fail
-    const auto results = maxflow::solve_batch(
-        problems, maxflow::Algorithm::kPushRelabel, options);
-    std::size_t failed = 0;
-    for (const auto& r : results) {
-      if (!r.ok()) {
-        EXPECT_EQ(r.status.code(), util::StatusCode::kInternal);
-        ++failed;
-      }
-    }
-    EXPECT_EQ(failed, 2u) << threads << " threads";
   }
 }
 
@@ -314,9 +246,9 @@ TEST_F(BatchConcurrencyTest, DeadlineExpiryAfterCompletionStillReportsOk) {
 }
 
 TEST_F(BatchConcurrencyTest, SharedPoolServesConcurrentBatchFronts) {
-  // One long-lived pool, used by predict_batch and verify-style
-  // solve_batch calls in sequence — the service topology.  (Also a
-  // lifetime test: the pool must drain cleanly between calls.)
+  // One long-lived pool serving repeated predict_batch calls — the service
+  // topology.  (Also a lifetime test: the pool must drain cleanly between
+  // calls.)
   util::ThreadPool pool(4);
   const std::vector<Challenge> batch = challenges_with_repeats(16, 23);
 

@@ -1,82 +1,11 @@
-// Tests for batch (multi-threaded) max-flow solving and the entropy
-// metrics.
+// Tests for the entropy metrics.
 #include <gtest/gtest.h>
 
-#include "graph/complete.hpp"
-#include "maxflow/batch.hpp"
 #include "metrics/entropy.hpp"
 #include "util/rng.hpp"
 
 namespace ppuf {
 namespace {
-
-// -------------------------------------------------------------------- batch
-
-TEST(Batch, EmptyInput) {
-  EXPECT_TRUE(maxflow::solve_batch({}, maxflow::Algorithm::kDinic, 4)
-                  .empty());
-}
-
-TEST(Batch, MatchesSerialResults) {
-  util::Rng rng(3);
-  std::vector<graph::Digraph> graphs;
-  graphs.reserve(10);
-  for (int i = 0; i < 10; ++i)
-    graphs.push_back(graph::make_complete_uniform(12 + i, rng));
-  std::vector<graph::FlowProblem> problems;
-  for (const auto& g : graphs)
-    problems.push_back(
-        {&g, 0, static_cast<graph::VertexId>(g.vertex_count() - 1)});
-
-  const auto serial =
-      maxflow::solve_batch(problems, maxflow::Algorithm::kPushRelabel, 1);
-  const auto parallel =
-      maxflow::solve_batch(problems, maxflow::Algorithm::kPushRelabel, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_NEAR(serial[i].value, parallel[i].value,
-                1e-9 * std::max(1.0, serial[i].value));
-    EXPECT_EQ(serial[i].edge_flow.size(), parallel[i].edge_flow.size());
-  }
-}
-
-TEST(Batch, PreservesInputOrder) {
-  // Distinguishable instances: a 2-node graph with capacity i.
-  std::vector<graph::Digraph> graphs;
-  for (int i = 1; i <= 8; ++i) {
-    graph::Digraph g(2);
-    g.add_edge(0, 1, static_cast<double>(i));
-    g.finalize();
-    graphs.push_back(std::move(g));
-  }
-  std::vector<graph::FlowProblem> problems;
-  for (const auto& g : graphs) problems.push_back({&g, 0, 1});
-  const auto r =
-      maxflow::solve_batch(problems, maxflow::Algorithm::kEdmondsKarp, 3);
-  for (std::size_t i = 0; i < r.size(); ++i)
-    EXPECT_DOUBLE_EQ(r[i].value, static_cast<double>(i + 1));
-}
-
-TEST(Batch, PropagatesErrors) {
-  // One malformed problem (source == sink) between two good ones: the
-  // batch keeps draining and reports the fault as a per-item typed status
-  // instead of throwing away the whole batch.
-  graph::Digraph g(2);
-  g.add_edge(0, 1, 1.0);
-  g.finalize();
-  std::vector<graph::FlowProblem> problems{
-      {&g, 0, 1}, {&g, 0, 0}, {&g, 0, 1}};
-  const auto r =
-      maxflow::solve_batch(problems, maxflow::Algorithm::kDinic, 2);
-  ASSERT_EQ(r.size(), 3u);
-  EXPECT_TRUE(r[0].ok());
-  EXPECT_DOUBLE_EQ(r[0].value, 1.0);
-  EXPECT_EQ(r[1].status.code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(r[1].status.message().find("source == sink"),
-            std::string::npos);
-  EXPECT_TRUE(r[2].ok());
-  EXPECT_DOUBLE_EQ(r[2].value, 1.0);
-}
 
 // ------------------------------------------------------------------ entropy
 

@@ -12,7 +12,6 @@
 #include "circuit/dc.hpp"
 #include "graph/complete.hpp"
 #include "maxflow/approximate.hpp"
-#include "maxflow/batch.hpp"
 #include "maxflow/parallel_push_relabel.hpp"
 #include "maxflow/solver.hpp"
 #include "ppuf/network_solver.hpp"
@@ -118,78 +117,6 @@ TEST(RecoveryLadder, NetworkSolverLadderRecoversToo) {
   EXPECT_NEAR(recovered.node_voltage[1], 1.0, 2e-6);
 }
 
-// --------------------------------------------------------- batch degradation
-
-TEST(BatchFaults, PoisonedItemsFailAloneOthersComplete) {
-  // 16 instances, 2 with NaN-poisoned capacities: the poisoned items come
-  // back kInvalidArgument, the other 14 solve normally.
-  util::Rng rng(7);
-  testing::FaultInjector injector(21);
-  std::vector<graph::Digraph> graphs;
-  graphs.reserve(16);
-  for (int i = 0; i < 16; ++i)
-    graphs.push_back(graph::make_complete_uniform(8, rng));
-  for (const std::size_t bad : {std::size_t{3}, std::size_t{11}}) {
-    graphs[bad] = injector.corrupt_capacities(
-        graphs[bad], {graph::EdgeId{0}, graph::EdgeId{5}}, kNan);
-  }
-  std::vector<graph::FlowProblem> problems;
-  for (const auto& g : graphs) problems.push_back({&g, 0, 7});
-
-  maxflow::BatchOptions options;
-  options.thread_count = 4;
-  const auto results =
-      maxflow::solve_batch(problems, maxflow::Algorithm::kDinic, options);
-  ASSERT_EQ(results.size(), 16u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (i == 3 || i == 11) {
-      EXPECT_EQ(results[i].status.code(),
-                util::StatusCode::kInvalidArgument)
-          << "item " << i;
-      EXPECT_NE(results[i].status.message().find("capacity"),
-                std::string::npos);
-    } else {
-      EXPECT_TRUE(results[i].ok()) << "item " << i << ": "
-                                   << results[i].status.to_string();
-      EXPECT_GT(results[i].value, 0.0);
-    }
-  }
-}
-
-TEST(BatchFaults, TransientFailuresAreRetried) {
-  util::Rng rng(9);
-  const graph::Digraph g = graph::make_complete_uniform(6, rng);
-  std::vector<graph::FlowProblem> problems(4, {&g, 0, 5});
-
-  testing::FaultSpec spec;
-  spec.maxflow_transient_failures = 2;
-  const testing::ScopedFaultInjection fault(spec);
-
-  maxflow::BatchOptions options;
-  options.max_attempts = 3;
-  const auto results = maxflow::solve_batch(
-      problems, maxflow::Algorithm::kEdmondsKarp, options);
-  for (const auto& r : results)
-    EXPECT_TRUE(r.ok()) << r.status.to_string();
-}
-
-TEST(BatchFaults, TransientFailureWithoutRetryBudgetIsInternal) {
-  util::Rng rng(9);
-  const graph::Digraph g = graph::make_complete_uniform(6, rng);
-  std::vector<graph::FlowProblem> problems(3, {&g, 0, 5});
-
-  testing::FaultSpec spec;
-  spec.maxflow_transient_failures = 1;
-  const testing::ScopedFaultInjection fault(spec);
-
-  const auto results = maxflow::solve_batch(
-      problems, maxflow::Algorithm::kEdmondsKarp, maxflow::BatchOptions{});
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].status.code(), util::StatusCode::kInternal);
-  EXPECT_TRUE(results[1].ok());
-  EXPECT_TRUE(results[2].ok());
-}
-
 // ------------------------------------------------- deadlines and cancellation
 
 class DeadlineAllAlgorithms
@@ -239,19 +166,6 @@ TEST(DeadlineFaults, ParallelAndApproximateSolversHonourDeadlines) {
 
   const auto ar = maxflow::solve_approximate({&g, 0, 23}, 0.0, control);
   EXPECT_EQ(ar.status.code(), util::StatusCode::kDeadlineExceeded);
-}
-
-TEST(DeadlineFaults, ExpiredBatchMarksEveryItem) {
-  util::Rng rng(19);
-  const graph::Digraph g = graph::make_complete_uniform(12, rng);
-  std::vector<graph::FlowProblem> problems(8, {&g, 0, 11});
-  maxflow::BatchOptions options;
-  options.thread_count = 3;
-  options.control.deadline = util::Deadline::after_seconds(0.0);
-  const auto results = maxflow::solve_batch(
-      problems, maxflow::Algorithm::kPushRelabel, options);
-  for (const auto& r : results)
-    EXPECT_EQ(r.status.code(), util::StatusCode::kDeadlineExceeded);
 }
 
 // -------------------------------------------------- protocol-level hardening

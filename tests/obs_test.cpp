@@ -238,14 +238,14 @@ TEST(ObsMetrics, StandardMetricsPreRegisterTheFullSchema) {
   for (const char* name :
        {"maxflow.dinic.solves", "maxflow.push_relabel.discharges",
         "circuit.dc.newton_iterations", "ppuf.network_solver.solves",
-        "maxflow.batch.retries", "ppuf.predict_batch.cache_hits",
+        "protocol.verify_batch.rejected", "ppuf.predict_batch.cache_hits",
         "protocol.verify_batch.accepted"}) {
     EXPECT_TRUE(reg.has_metric(name)) << name;
     EXPECT_EQ(reg.counter_value(name), 0u) << name;
   }
   for (const char* name :
        {"maxflow.dinic.solve_time_us", "circuit.dc.iterations_per_solve",
-        "maxflow.batch.item_time_us", "ppuf.predict_batch.item_time_us",
+        "maxflow.push_relabel.solve_time_us", "ppuf.predict_batch.item_time_us",
         "protocol.verify_batch.item_time_us"}) {
     EXPECT_TRUE(reg.has_metric(name)) << name;
     EXPECT_EQ(reg.histogram_snapshot(name).count, 0u) << name;

@@ -160,12 +160,24 @@ TEST_F(ProtocolFixture, ChainedWrongRoundCountRejected) {
 }
 
 TEST_F(ProtocolFixture, ParallelVerificationAgrees) {
-  const Verifier serial(*model, 1e-3, tolerance(), 1);
-  const Verifier parallel(*model, 1e-3, tolerance(), 4);
-  const Challenge c = serial.issue_challenge(rng);
-  const ProverReport report = prove_with_ppuf(*puf, c, 1e-6);
-  EXPECT_EQ(serial.verify(c, report).accepted,
-            parallel.verify(c, report).accepted);
+  // verify_batch on four workers gives every item verify()'s verdict.
+  const Verifier verifier(*model, 1e-3, tolerance());
+  std::vector<Challenge> challenges;
+  std::vector<ProverReport> reports;
+  for (int i = 0; i < 6; ++i) {
+    challenges.push_back(verifier.issue_challenge(rng));
+    reports.push_back(prove_with_ppuf(*puf, challenges.back(), 1e-6));
+  }
+  Verifier::BatchVerifyOptions four;
+  four.thread_count = 4;
+  const auto parallel = verifier.verify_batch(challenges, reports, four);
+  ASSERT_EQ(parallel.size(), challenges.size());
+  for (std::size_t i = 0; i < challenges.size(); ++i) {
+    const AuthenticationResult serial = verifier.verify(challenges[i],
+                                                        reports[i]);
+    EXPECT_EQ(parallel[i].accepted, serial.accepted) << "item " << i;
+    EXPECT_EQ(parallel[i].detail, serial.detail) << "item " << i;
+  }
 }
 
 }  // namespace

@@ -453,7 +453,6 @@ TEST(DeviceRegistry, HundredThousandDevicesRecoverAndHydrateAWorkingSet) {
   constexpr std::size_t kGets = 20000;
   HydrationCache::Options options;
   options.max_entries = 64;
-  options.verify_threads = 1;
   HydrationCache cache(reg, options);
   util::Rng rng(77);
   std::size_t failed = 0;
