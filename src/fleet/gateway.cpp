@@ -97,6 +97,7 @@ struct Gateway::Impl final : net::FrameServer::Handler {
   Impl(const GatewayOptions& options, std::atomic<bool>& draining)
       : options(options),
         draining(draining),
+        counters("gateway", obs::kGatewayEvents),
         reactor(*this, "gateway", "gateway in-flight limit reached",
                 net::FrameServer::limits_of(options), draining) {}
 
@@ -116,15 +117,15 @@ struct Gateway::Impl final : net::FrameServer::Handler {
   /// connection close.  Ordered so a connection's pins are a range.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::string> pins;
 
-  // Stats.  The transport counters live in the reactor.
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> forwarded{0};
-  std::atomic<std::uint64_t> redirects_sent{0};
-  std::atomic<std::uint64_t> unavailable_rejections{0};
-  std::atomic<std::uint64_t> admin_requests{0};
-  std::atomic<std::uint64_t> pins_created{0};
-  std::atomic<std::uint64_t> health_probes{0};
-  std::atomic<std::uint64_t> dropped_inflight{0};
+  // Stats, read via Gateway::stats(); the transport counters live in the
+  // reactor.  Indices into `counters` (obs::kGatewayEvents).
+  enum Event : std::size_t {
+    kRequests, kForwarded, kRedirectsSent, kUnavailableRejections,
+    kAdminRequests, kPinsCreated, kHealthProbes, kDroppedInflight,
+    kEventCount
+  };
+  static_assert(std::size(obs::kGatewayEvents) == kEventCount);
+  obs::CounterSet counters;
 
   /// Declared last: destroyed first, joining workers that are still
   /// forwarding against the members above.
@@ -138,7 +139,7 @@ struct Gateway::Impl final : net::FrameServer::Handler {
   void on_close(std::uint64_t connection_id) override;
   net::HealthInfo health_info() const override {
     net::HealthInfo h = reactor.transport_health();
-    h.requests_served = requests.load(std::memory_order_relaxed);
+    h.requests_served = counters.value(kRequests);
     return h;
   }
 
@@ -200,22 +201,16 @@ void Gateway::stop() {
 Gateway::Stats Gateway::stats() const {
   Stats s;
   if (impl_ == nullptr) return s;
-  const net::FrameServer::Stats t = impl_->reactor.stats();
-  s.connections_accepted = t.connections_accepted;
-  s.requests = impl_->requests.load(std::memory_order_relaxed);
-  s.forwarded = impl_->forwarded.load(std::memory_order_relaxed);
-  s.redirects_sent = impl_->redirects_sent.load(std::memory_order_relaxed);
-  s.unavailable_rejections =
-      impl_->unavailable_rejections.load(std::memory_order_relaxed);
-  s.overloaded_rejections = t.overloaded_rejections;
-  s.shutdown_rejections = t.shutdown_rejections;
-  s.malformed_frames = t.malformed_frames;
-  s.admin_requests = impl_->admin_requests.load(std::memory_order_relaxed);
-  s.pins_created = impl_->pins_created.load(std::memory_order_relaxed);
-  s.health_probes = impl_->health_probes.load(std::memory_order_relaxed);
-  s.dropped_inflight =
-      impl_->dropped_inflight.load(std::memory_order_relaxed);
-  s.slow_peer_disconnects = t.slow_peer_disconnects;
+  impl_->reactor.transport_stats(&s);
+  const obs::CounterSet& c = impl_->counters;
+  s.requests = c.value(Impl::kRequests);
+  s.forwarded = c.value(Impl::kForwarded);
+  s.redirects_sent = c.value(Impl::kRedirectsSent);
+  s.unavailable_rejections = c.value(Impl::kUnavailableRejections);
+  s.admin_requests = c.value(Impl::kAdminRequests);
+  s.pins_created = c.value(Impl::kPinsCreated);
+  s.health_probes = c.value(Impl::kHealthProbes);
+  s.dropped_inflight = c.value(Impl::kDroppedInflight);
   return s;
 }
 
@@ -258,7 +253,7 @@ std::vector<std::uint8_t> Gateway::Impl::answer_inline(const Frame& frame) {
 std::vector<std::uint8_t> Gateway::Impl::dispatch(
     std::uint64_t connection_id, Frame frame) {
   const auto unavailable = [&](std::string message) {
-    unavailable_rejections.fetch_add(1, std::memory_order_relaxed);
+    counters.add(kUnavailableRejections);
     return error_frame(frame.request_id, frame.device_id,
                        WireCode::kShardUnavailable, std::move(message));
   };
@@ -295,7 +290,7 @@ std::vector<std::uint8_t> Gateway::Impl::dispatch(
       rd.port = shard->successor_port;
       rd.shard = name;
       rd.message = "shard draining; use successor";
-      redirects_sent.fetch_add(1, std::memory_order_relaxed);
+      counters.add(kRedirectsSent);
       return net::encode_frame(MessageType::kRedirectReply,
                                frame.request_id, frame.device_id, 0,
                                net::encode_redirect_reply(rd));
@@ -305,12 +300,11 @@ std::vector<std::uint8_t> Gateway::Impl::dispatch(
     if (frame.type == MessageType::kChallengeRequest) {
       pins[{connection_id, frame.device_id}] = name;
       shard->pinned_sessions.fetch_add(1, std::memory_order_relaxed);
-      pins_created.fetch_add(1, std::memory_order_relaxed);
+      counters.add(kPinsCreated);
     }
   }
 
-  requests.fetch_add(1, std::memory_order_relaxed);
-  obs::MetricsRegistry::global().counter("gateway.requests").add();
+  counters.add(kRequests);
   const util::Deadline deadline = frame.deadline();
   reactor.submit(connection_id, std::move(frame),
                  [this, shard = std::move(shard), deadline](const Frame& f) {
@@ -375,8 +369,7 @@ std::vector<std::uint8_t> Gateway::Impl::forward(
       shard.checkin(fd);
       shard.inflight.fetch_sub(1, std::memory_order_relaxed);
       shard.forwarded.fetch_add(1, std::memory_order_relaxed);
-      forwarded.fetch_add(1, std::memory_order_relaxed);
-      obs::MetricsRegistry::global().counter("gateway.forwarded").add();
+      counters.add(kForwarded);
       return net::encode_frame(reply.type, reply.request_id,
                                reply.device_id, 0, reply.payload);
     }
@@ -387,14 +380,13 @@ std::vector<std::uint8_t> Gateway::Impl::forward(
   shard.inflight.fetch_sub(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(shard_mutex);
-    if (shard.draining)
-      dropped_inflight.fetch_add(1, std::memory_order_relaxed);
+    if (shard.draining) counters.add(kDroppedInflight);
   }
   if (last.code() == util::StatusCode::kDeadlineExceeded)
     return error_frame(frame.request_id, frame.device_id,
                        WireCode::kDeadlineExceeded,
                        "budget expired forwarding to " + shard.name);
-  unavailable_rejections.fetch_add(1, std::memory_order_relaxed);
+  counters.add(kUnavailableRejections);
   return error_frame(frame.request_id, frame.device_id,
                      WireCode::kShardUnavailable,
                      "shard " + shard.name + " unreachable: " +
@@ -404,7 +396,7 @@ std::vector<std::uint8_t> Gateway::Impl::forward(
 // --- admin ------------------------------------------------------------------
 
 std::vector<std::uint8_t> Gateway::Impl::handle_admin(const Frame& frame) {
-  admin_requests.fetch_add(1, std::memory_order_relaxed);
+  counters.add(kAdminRequests);
   net::AdminRequestBody req;
   if (Status s = net::decode_admin_request(frame.payload, &req); !s.is_ok())
     return error_frame(frame.request_id, frame.device_id,
@@ -550,7 +542,7 @@ void Gateway::Impl::health_loop() {
                      util::Deadline::after_seconds(
                          options.health_timeout_ms * 1e-3),
                      &health);
-      health_probes.fetch_add(1, std::memory_order_relaxed);
+      counters.add(kHealthProbes);
       if (s.is_ok()) {
         shard->consecutive_failures = 0;
         if (++shard->consecutive_successes >=

@@ -4,7 +4,6 @@
 
 #include "net/client.hpp"
 #include "net/wire.hpp"
-#include "obs/metrics.hpp"
 
 namespace ppuf::fleet {
 
@@ -45,29 +44,27 @@ util::Status WalStandby::fetch_pass_locked() {
   net::AuthClient client(options_.primary_host, options_.primary_port,
                          copts);
   const util::Deadline per_fetch = util::Deadline::unlimited();
+  const auto failed = [this](Status s) {
+    counters_.add(kFetchErrors);
+    caught_up_ = false;
+    return s;
+  };
   for (;;) {
     net::WalFetchRequestBody req;
     req.epoch = epoch_;
     req.offset = offset_;
     req.max_bytes = options_.fetch_max_bytes;
     net::WalSegmentBody seg;
-    if (Status s = client.wal_fetch(req, &seg, per_fetch); !s.is_ok()) {
-      ++fetch_errors_;
-      caught_up_ = false;
-      return s;
-    }
-    ++fetches_;
+    if (Status s = client.wal_fetch(req, &seg, per_fetch); !s.is_ok())
+      return failed(s);
+    counters_.add(kFetches);
     if (seg.bootstrap != 0) {
-      if (Status s = registry_.install_bootstrap(seg.bytes); !s.is_ok()) {
-        ++fetch_errors_;
-        caught_up_ = false;
-        return s;
-      }
-      ++bootstraps_;
+      if (Status s = registry_.install_bootstrap(seg.bytes); !s.is_ok())
+        return failed(s);
+      counters_.add(kBootstraps);
       epoch_ = seg.epoch;
       offset_ = seg.next_offset;
       buffer_.clear();
-      obs::MetricsRegistry::global().counter("standby.bootstraps").add();
       continue;  // tail the WAL from the snapshot's fold point
     }
     if (seg.bytes.empty()) {
@@ -84,9 +81,7 @@ util::Status WalStandby::fetch_pass_locked() {
       epoch_ = 0;
       offset_ = 0;
       buffer_.clear();
-      ++fetch_errors_;
-      caught_up_ = false;
-      return s;
+      return failed(s);
     }
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
@@ -94,10 +89,7 @@ util::Status WalStandby::fetch_pass_locked() {
     // bytes included): the primary's offsets address its byte stream,
     // not record boundaries.
     offset_ += seg.bytes.size();
-    bytes_applied_ += consumed;
-    obs::MetricsRegistry::global()
-        .counter("standby.bytes_applied")
-        .add(consumed);
+    counters_.add(kBytesApplied, consumed);
   }
 }
 
@@ -106,7 +98,7 @@ void WalStandby::poll_loop() {
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
       // Errors are expected while the primary is down/restarting; the
-      // loop just keeps polling (counted in fetch_errors_).
+      // loop just keeps polling (counted in standby.fetch_errors).
       (void)fetch_pass_locked();
     }
     const auto until = std::chrono::steady_clock::now() +
@@ -130,8 +122,8 @@ PromotionReport WalStandby::promote() {
   promotion_report_.wal_epoch = epoch_;
   promotion_report_.wal_offset = offset_;
   promotion_report_.device_count = registry_.device_count();
-  promotion_report_.fetches = fetches_;
-  promotion_report_.bootstraps = bootstraps_;
+  promotion_report_.fetches = counters_.value(kFetches);
+  promotion_report_.bootstraps = counters_.value(kBootstraps);
   promotion_report_.caught_up = caught_up_;
   return promotion_report_;
 }
@@ -139,10 +131,10 @@ PromotionReport WalStandby::promote() {
 WalStandby::Stats WalStandby::stats() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   Stats s;
-  s.fetches = fetches_;
-  s.bootstraps = bootstraps_;
-  s.bytes_applied = bytes_applied_;
-  s.fetch_errors = fetch_errors_;
+  s.fetches = counters_.value(kFetches);
+  s.bootstraps = counters_.value(kBootstraps);
+  s.bytes_applied = counters_.value(kBytesApplied);
+  s.fetch_errors = counters_.value(kFetchErrors);
   s.wal_epoch = epoch_;
   s.wal_offset = offset_;
   return s;

@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "registry/device_registry.hpp"
 #include "util/status.hpp"
 
@@ -113,10 +114,13 @@ class WalStandby {
   std::uint64_t offset_ = 0;
   std::vector<std::uint8_t> buffer_;  ///< partial trailing record bytes
   bool caught_up_ = false;
-  std::uint64_t fetches_ = 0;
-  std::uint64_t bootstraps_ = 0;
-  std::uint64_t bytes_applied_ = 0;
-  std::uint64_t fetch_errors_ = 0;
+
+  /// Indices into counters_ (obs::kStandbyEvents).
+  enum Event : std::size_t {
+    kFetches, kBootstraps, kBytesApplied, kFetchErrors, kEventCount
+  };
+  static_assert(std::size(obs::kStandbyEvents) == kEventCount);
+  obs::CounterSet counters_{"standby", obs::kStandbyEvents};
 };
 
 }  // namespace ppuf::fleet

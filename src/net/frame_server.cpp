@@ -9,7 +9,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "util/fault_hooks.hpp"
 
 namespace ppuf::net {
@@ -21,14 +20,6 @@ using util::Status;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-constexpr const char* kMetricSuffixes[] = {
-    ".connections_accepted", ".connections_closed",
-    ".bytes_read",           ".bytes_written",
-    ".malformed_frames",     ".shutdown_rejections",
-    ".overloaded_rejections", ".slow_peer_disconnects",
-    ".inflight",             ".connections",
-};
-
 }  // namespace
 
 FrameServer::FrameServer(Handler& handler, std::string prefix,
@@ -39,11 +30,10 @@ FrameServer::FrameServer(Handler& handler, std::string prefix,
       overloaded_message_(std::move(overloaded_message)),
       limits_(limits),
       draining_(draining),
-      pool_(limits.threads) {
-  static_assert(std::size(kMetricSuffixes) == kMetricCount);
-  for (std::size_t m = 0; m < kMetricCount; ++m)
-    metric_names_[m] = prefix + kMetricSuffixes[m];
-}
+      counters_(prefix, obs::kTransportEvents),
+      inflight_gauge_(prefix + ".inflight"),
+      connections_gauge_(prefix + ".connections"),
+      pool_(limits.threads) {}
 
 FrameServer::~FrameServer() {
   if (!loop_.joinable()) return;
@@ -92,27 +82,8 @@ HealthInfo FrameServer::transport_health() const {
       static_cast<std::uint32_t>(inflight_.load(std::memory_order_relaxed));
   h.max_inflight = static_cast<std::uint32_t>(limits_.max_inflight);
   h.draining = draining_.load(std::memory_order_relaxed) ? 1 : 0;
-  h.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
+  h.connections_accepted = counters_.value(kConnectionsAccepted);
   return h;
-}
-
-FrameServer::Stats FrameServer::stats() const {
-  Stats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.overloaded_rejections =
-      overloaded_rejections_.load(std::memory_order_relaxed);
-  s.shutdown_rejections =
-      shutdown_rejections_.load(std::memory_order_relaxed);
-  s.malformed_frames = malformed_frames_.load(std::memory_order_relaxed);
-  s.slow_peer_disconnects =
-      slow_peer_disconnects_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void FrameServer::count(Metric m, std::uint64_t delta) const {
-  obs::MetricsRegistry::global().counter(metric_names_[m]).add(delta);
 }
 
 // --- loop --------------------------------------------------------------------
@@ -165,10 +136,10 @@ void FrameServer::run() {
     }
     handler_.on_loop_pass(drain_now);
     drain_completions();
-    reg.gauge(metric_names_[kInflightGauge])
+    reg.gauge(inflight_gauge_)
         .set(static_cast<std::int64_t>(
             inflight_.load(std::memory_order_relaxed)));
-    reg.gauge(metric_names_[kConnectionsGauge])
+    reg.gauge(connections_gauge_)
         .set(static_cast<std::int64_t>(connections_.size()));
   }
   // Drained: close every remaining connection.  The epoll/event fds stay
@@ -215,8 +186,7 @@ void FrameServer::accept_ready() {
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     epoll_ctl(epoll_.fd(), EPOLL_CTL_ADD, fd, &ev);
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    count(kConnectionsAccepted);
+    counters_.add(kConnectionsAccepted);
   }
 }
 
@@ -234,7 +204,7 @@ void FrameServer::read_ready(int fd) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       conn.inbuf.insert(conn.inbuf.end(), chunk, chunk + n);
-      count(kBytesRead, static_cast<std::uint64_t>(n));
+      counters_.add(kBytesRead, static_cast<std::uint64_t>(n));
       continue;
     }
     if (n == 0) {  // peer closed
@@ -268,8 +238,7 @@ void FrameServer::consume_frames(int fd) {
     if (r == DecodeResult::kMalformed) {
       // The stream cannot be resynchronised: answer with a typed error
       // (request id unknown — use 0) and close once it is flushed.
-      malformed_frames_.fetch_add(1, std::memory_order_relaxed);
-      count(kMalformedFrames);
+      counters_.add(kMalformedFrames);
       // Flag before enqueueing so the flush inside enqueue_reply closes the
       // socket as soon as the error is written; return without touching
       // `conn` again — it may already be destroyed by that close.
@@ -311,8 +280,7 @@ void FrameServer::dispatch(Connection& conn, Frame frame) {
                                            handler_.health_info())));
       return;
     }
-    shutdown_rejections_.fetch_add(1, std::memory_order_relaxed);
-    count(kShutdownRejections);
+    counters_.add(kShutdownRejections);
     enqueue_reply(conn, error_frame(frame.request_id, frame.device_id,
                                     WireCode::kShuttingDown,
                                     draining_message_));
@@ -326,8 +294,7 @@ void FrameServer::dispatch(Connection& conn, Frame frame) {
   // Admission control.  Only the loop increments, so load+check is
   // race-free; workers decrement as they complete.
   if (inflight_.load(std::memory_order_relaxed) >= limits_.max_inflight) {
-    overloaded_rejections_.fetch_add(1, std::memory_order_relaxed);
-    count(kOverloadedRejections);
+    counters_.add(kOverloadedRejections);
     enqueue_reply(conn, error_frame(frame.request_id, frame.device_id,
                                     WireCode::kOverloaded,
                                     overloaded_message_));
@@ -390,7 +357,7 @@ void FrameServer::flush(Connection& conn) {
       close_connection(conn.fd);
       return;
     }
-    count(kBytesWritten, static_cast<std::uint64_t>(n));
+    counters_.add(kBytesWritten, static_cast<std::uint64_t>(n));
     conn.out_offset += static_cast<std::size_t>(n);
     if (conn.out_offset == front.size()) {
       conn.outq_bytes -= front.size();
@@ -408,8 +375,7 @@ void FrameServer::flush(Connection& conn) {
   // completions under completion_mutex_ and never touch a socket.
   if (limits_.max_connection_backlog_bytes != 0 &&
       conn.outq_bytes > limits_.max_connection_backlog_bytes) {
-    slow_peer_disconnects_.fetch_add(1, std::memory_order_relaxed);
-    count(kSlowPeerDisconnects);
+    counters_.add(kSlowPeerDisconnects);
     close_connection(conn.fd);
     return;
   }
@@ -435,7 +401,7 @@ void FrameServer::close_connection(int fd) {
   epoll_ctl(epoll_.fd(), EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   connections_.erase(it);
-  count(kConnectionsClosed);
+  counters_.add(kConnectionsClosed);
   handler_.on_close(conn_id);
 }
 

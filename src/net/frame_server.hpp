@@ -19,10 +19,9 @@
 // Anything else goes to Handler::dispatch(), which either answers inline
 // or hands the frame to the pool and owes exactly one completion for it.
 //
-// Transport counters and gauges are published under the owner's prefix
-// (`server.` / `gateway.`): connections_accepted/closed, bytes_read/
-// written, malformed_frames, shutdown/overloaded_rejections,
-// slow_peer_disconnects, inflight, connections.  The util::FaultHooks
+// Transport events (obs::kTransportEvents) are counted in the instance's
+// obs::CounterSet under the owner's prefix (`server.` / `gateway.`),
+// beside its inflight and connections gauges.  The util::FaultHooks
 // `server_*` sites live here, so they fire in every FrameServer.
 #pragma once
 
@@ -42,6 +41,7 @@
 
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "util/status.hpp"
 #include "util/thread_pool.hpp"
 
@@ -136,14 +136,16 @@ class FrameServer {
   /// inflight, max_inflight, draining and connections_accepted.
   HealthInfo transport_health() const;
 
-  struct Stats {
-    std::uint64_t connections_accepted = 0;
-    std::uint64_t overloaded_rejections = 0;
-    std::uint64_t shutdown_rejections = 0;
-    std::uint64_t malformed_frames = 0;
-    std::uint64_t slow_peer_disconnects = 0;
-  };
-  Stats stats() const;
+  /// Copy this instance's transport counts into an owner's Stats; every
+  /// service Stats struct has these fields under these names.
+  template <typename Stats>
+  void transport_stats(Stats* s) const {
+    s->connections_accepted = counters_.value(kConnectionsAccepted);
+    s->overloaded_rejections = counters_.value(kOverloadedRejections);
+    s->shutdown_rejections = counters_.value(kShutdownRejections);
+    s->malformed_frames = counters_.value(kMalformedFrames);
+    s->slow_peer_disconnects = counters_.value(kSlowPeerDisconnects);
+  }
 
  private:
   struct Connection {
@@ -157,20 +159,13 @@ class FrameServer {
     bool want_write = false;
   };
 
-  enum Metric : std::size_t {
-    kConnectionsAccepted,
-    kConnectionsClosed,
-    kBytesRead,
-    kBytesWritten,
-    kMalformedFrames,
-    kShutdownRejections,
-    kOverloadedRejections,
-    kSlowPeerDisconnects,
-    kInflightGauge,
-    kConnectionsGauge,
-    kMetricCount,
+  /// Indices into counters_ (obs::kTransportEvents).
+  enum Event : std::size_t {
+    kConnectionsAccepted, kConnectionsClosed, kBytesRead, kBytesWritten,
+    kMalformedFrames, kShutdownRejections, kOverloadedRejections,
+    kSlowPeerDisconnects, kEventCount
   };
-  void count(Metric m, std::uint64_t delta = 1) const;
+  static_assert(std::size(obs::kTransportEvents) == kEventCount);
 
   void complete(std::uint64_t connection_id, std::vector<std::uint8_t> bytes) {
     complete_batch(1, [&](std::size_t) {
@@ -195,8 +190,10 @@ class FrameServer {
   const std::string overloaded_message_;
   const Limits limits_;
   std::atomic<bool>& draining_;
-  /// "<prefix>.<metric>", built once so publishing never allocates.
-  std::string metric_names_[kMetricCount];
+  obs::CounterSet counters_;
+  /// "<prefix>.inflight" / "<prefix>.connections", published each pass.
+  const std::string inflight_gauge_;
+  const std::string connections_gauge_;
 
   Socket listener_;
   /// The epoll fd and the eventfd must outlive the worker pool (a
@@ -221,11 +218,6 @@ class FrameServer {
   std::vector<Completion> completions_;
 
   std::atomic<std::size_t> inflight_{0};
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> overloaded_rejections_{0};
-  std::atomic<std::uint64_t> shutdown_rejections_{0};
-  std::atomic<std::uint64_t> malformed_frames_{0};
-  std::atomic<std::uint64_t> slow_peer_disconnects_{0};
 
   std::thread loop_;
   /// Declared last so it is destroyed FIRST: its destructor joins workers

@@ -179,6 +179,16 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return find_or_create(histograms_, name);
 }
 
+CounterSet::CounterSet(std::string_view prefix,
+                       std::span<const std::string_view> names)
+    : global_(MetricsRegistry::global()),
+      slots_(std::make_unique<Slot[]>(names.size())) {
+  std::lock_guard<std::mutex> lock(global_.mutex_);
+  for (std::size_t i = 0; i < names.size(); ++i)
+    slots_[i].global = &find_or_create(
+        global_.counters_, std::string(prefix) + "." + std::string(names[i]));
+}
+
 std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = counters_.find(name);
@@ -320,35 +330,35 @@ void register_standard_metrics(MetricsRegistry& registry) {
     registry.gauge(std::string("ppuf.response_cache.") + g);
   }
 
-  // Authentication server (src/server) and fleet gateway (src/fleet): both
-  // run on net::FrameServer, which publishes the same transport set under
-  // each owner's prefix — request outcomes, connection lifecycle, byte
-  // I/O, slow peers cut at the backlog bound, and the loop's gauges.
-  for (const std::string prefix : {"server.", "gateway."}) {
-    for (const char* c :
-         {"requests", "connections_accepted", "connections_closed",
-          "overloaded_rejections", "shutdown_rejections", "malformed_frames",
-          "slow_peer_disconnects", "bytes_read", "bytes_written"}) {
-      registry.counter(prefix + c);
-    }
-    registry.gauge(prefix + "inflight");
-    registry.gauge(prefix + "connections");
+  // Every CounterSet's events.  The server (src/server) and the fleet
+  // gateway (src/fleet) both run on net::FrameServer, whose transport
+  // events and loop gauges each publishes under its own prefix.
+  const auto events = [&registry](std::string_view prefix,
+                                  std::span<const std::string_view> names) {
+    for (const std::string_view name : names)
+      registry.counter(std::string(prefix) + "." + std::string(name));
+  };
+  for (const std::string prefix : {"server", "gateway"}) {
+    events(prefix, kTransportEvents);
+    registry.gauge(prefix + ".inflight");
+    registry.gauge(prefix + ".connections");
   }
-  registry.counter("gateway.forwarded");
+  events("server", kServerEvents);
+  events("gateway", kGatewayEvents);
+  events("registry.hydration", kHydrationEvents);
+  events("standby", kStandbyEvents);
+  registry.gauge("registry.hydration.entries");
+  registry.histogram("registry.hydration.load_time_us");
+
   // Server per-type wall time, measured from dispatch to completion
   // enqueue.  PREDICT and VERIFY time under server.batch.request_us.
-  for (const char* t : {"ping", "verify_batch", "challenge",
-                        "chained_auth"}) {
+  for (const char* t : {"ping", "verify_batch", "challenge", "chained_auth",
+                        "enroll", "wal_fetch"}) {
     registry.histogram(std::string("server.") + t + ".request_us");
   }
 
-  // Cross-connection coalescing (DESIGN.md §16): batch shape, the wait
-  // each flushed batch actually absorbed, and frames too budget-tight to
-  // coalesce.
-  for (const char* c :
-       {"coalesced_batches", "coalesced_items", "solo_dispatches"}) {
-    registry.counter(std::string("server.") + c);
-  }
+  // Cross-connection coalescing (DESIGN.md §16): batch shape and the wait
+  // each flushed batch actually absorbed.
   registry.histogram("server.batch_size");
   registry.histogram("server.coalesce_wait_us");
   registry.histogram("server.batch.request_us");

@@ -20,9 +20,10 @@
 //
 // Cost when disabled is near zero BY CONSTRUCTION: a disabled registry
 // resolves every name to a shared static dummy metric without touching the
-// map (no allocation, no lock), and ScopedTimer skips its clock reads
-// entirely.  Instrumented code therefore never needs #ifdefs — it asks the
-// registry and gets either a real metric or the black hole.
+// map (no allocation, no lock), ScopedTimer skips its clock reads
+// entirely, and CounterSet::add skips its global counter.  Instrumented
+// code therefore never needs #ifdefs — it asks the registry and gets
+// either a real metric or the black hole.
 #pragma once
 
 #include <array>
@@ -33,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -161,12 +163,64 @@ class MetricsRegistry {
   void write_json(const std::string& path) const;
 
  private:
+  friend class CounterSet;  // registers its names even while disabled
   std::atomic<bool> enabled_;
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
+
+/// One instance's event counters, named `<prefix>.<name>` and indexed by
+/// the owner's enum in `names` order (one of the k*Events lists below).
+/// add() bumps the instance counter and, while MetricsRegistry::global()
+/// is enabled, the same-named global one, so a global count sums every
+/// instance's enabled-time events.  The constructor registers the names
+/// in the global registry, enabled or not, so add() never locks or
+/// allocates: disabled, it is one relaxed fetch_add and one relaxed load.
+class CounterSet {
+ public:
+  CounterSet(std::string_view prefix,
+             std::span<const std::string_view> names);
+
+  void add(std::size_t i, std::uint64_t delta = 1) {
+    Slot& slot = slots_[i];
+    slot.local.add(delta);
+    if (global_.enabled()) slot.global->add(delta);
+  }
+  std::uint64_t value(std::size_t i) const { return slots_[i].local.value(); }
+
+ private:
+  struct Slot {
+    Counter local;
+    Counter* global = nullptr;
+  };
+  MetricsRegistry& global_;
+  std::unique_ptr<Slot[]> slots_;
+};
+
+/// The events each serving component counts in its CounterSet, in the
+/// order of the owner's index enum; register_standard_metrics registers
+/// them all.  net::FrameServer, under its owner's prefix:
+inline constexpr std::string_view kTransportEvents[] = {
+    "connections_accepted", "connections_closed", "bytes_read",
+    "bytes_written", "malformed_frames", "shutdown_rejections",
+    "overloaded_rejections", "slow_peer_disconnects"};
+/// server::AuthServer, `server`:
+inline constexpr std::string_view kServerEvents[] = {
+    "requests", "unknown_device_rejections", "coalesced_batches",
+    "coalesced_items", "solo_dispatches", "enrolls_served",
+    "wal_fetches_served"};
+/// fleet::Gateway, `gateway`:
+inline constexpr std::string_view kGatewayEvents[] = {
+    "requests", "forwarded", "redirects_sent", "unavailable_rejections",
+    "admin_requests", "pins_created", "health_probes", "dropped_inflight"};
+/// registry::HydrationCache, `registry.hydration`:
+inline constexpr std::string_view kHydrationEvents[] = {
+    "hits", "misses", "single_flight_waits", "evictions"};
+/// fleet::WalStandby, `standby`:
+inline constexpr std::string_view kStandbyEvents[] = {
+    "fetches", "bootstraps", "bytes_applied", "fetch_errors"};
 
 /// RAII wall-clock timer recording MICROSECONDS into a histogram on
 /// destruction.  With a null histogram (or a disabled registry) it does

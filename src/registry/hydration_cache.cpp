@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
-
 namespace ppuf::registry {
 
 using util::Status;
@@ -12,7 +10,8 @@ HydrationCache::HydrationCache(const DeviceRegistry& registry,
                                const Options& options)
     : registry_(registry),
       options_(options),
-      max_entries_(std::max<std::size_t>(1, options.max_entries)) {}
+      max_entries_(std::max<std::size_t>(1, options.max_entries)),
+      counters_("registry.hydration", obs::kHydrationEvents) {}
 
 util::Status HydrationCache::get(
     std::uint64_t id, std::shared_ptr<const HydratedDevice>* out) {
@@ -20,9 +19,6 @@ util::Status HydrationCache::get(
   obs::Histogram* m_load_time =
       reg.enabled() ? &reg.histogram("registry.hydration.load_time_us")
                     : nullptr;
-  auto bump = [&reg](const char* name) {
-    if (reg.enabled()) reg.counter(name).add();
-  };
 
   // Policy before cache: a revoked device must be refused even while its
   // materialised instance is still resident.
@@ -32,8 +28,7 @@ util::Status HydrationCache::get(
     if (it != index_.end()) {
       lru_.erase(it->second);
       index_.erase(it);
-      ++stats_.evictions;
-      bump("registry.hydration.evictions");
+      counters_.add(kEvictions);
     }
     return Status::not_found("device " + std::to_string(id) +
                              " is not enrolled or is revoked");
@@ -46,8 +41,7 @@ util::Status HydrationCache::get(
     const auto it = index_.find(id);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      ++stats_.hits;
-      bump("registry.hydration.hits");
+      counters_.add(kHits);
       *out = it->second->second;
       return Status::ok();
     }
@@ -55,13 +49,7 @@ util::Status HydrationCache::get(
         inflight_.try_emplace(id, std::make_shared<Slot>());
     slot = inflight_it->second;
     leader = inserted;
-    if (leader) {
-      ++stats_.misses;
-      bump("registry.hydration.misses");
-    } else {
-      ++stats_.single_flight_waits;
-      bump("registry.hydration.single_flight_waits");
-    }
+    counters_.add(leader ? kMisses : kSingleFlightWaits);
   }
 
   if (!leader) {
@@ -108,8 +96,7 @@ util::Status HydrationCache::get(
       while (lru_.size() > max_entries_) {
         index_.erase(lru_.back().first);
         lru_.pop_back();
-        ++stats_.evictions;
-        bump("registry.hydration.evictions");
+        counters_.add(kEvictions);
       }
     }
     inflight_.erase(id);
@@ -131,8 +118,12 @@ util::Status HydrationCache::get(
 }
 
 HydrationCache::Stats HydrationCache::stats() const {
+  Stats s;
+  s.hits = counters_.value(kHits);
+  s.misses = counters_.value(kMisses);
+  s.single_flight_waits = counters_.value(kSingleFlightWaits);
+  s.evictions = counters_.value(kEvictions);
   std::lock_guard<std::mutex> lock(mutex_);
-  Stats s = stats_;
   s.entries = lru_.size();
   return s;
 }

@@ -22,8 +22,9 @@
 // including after eviction, so inflight requests finish on the instance
 // they resolved.
 //
-// Publishes registry.hydration.* metrics through the global obs registry
-// (hits / misses / single-flight waits / evictions / load-time histogram).
+// Counts hits / misses / single-flight waits / evictions in its own
+// obs::CounterSet (`registry.hydration.*`), beside an entries gauge and a
+// load-time histogram.
 #pragma once
 
 #include <condition_variable>
@@ -34,6 +35,7 @@
 #include <unordered_map>
 
 #include "backend/backend.hpp"
+#include "obs/metrics.hpp"
 #include "ppuf/sim_model.hpp"
 #include "protocol/authentication.hpp"
 #include "registry/device_registry.hpp"
@@ -109,7 +111,13 @@ class HydrationCache {
                           std::shared_ptr<const HydratedDevice>>>::iterator>
       index_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Slot>> inflight_;
-  Stats stats_;
+
+  /// Indices into counters_ (obs::kHydrationEvents).
+  enum Event : std::size_t {
+    kHits, kMisses, kSingleFlightWaits, kEvictions, kEventCount
+  };
+  static_assert(std::size(obs::kHydrationEvents) == kEventCount);
+  obs::CounterSet counters_;
 };
 
 }  // namespace ppuf::registry

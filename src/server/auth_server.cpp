@@ -68,6 +68,7 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
         hydration(registry, hydration_options(options)),
         options(options),
         rng(options.challenge_seed),
+        counters("server", obs::kServerEvents),
         reactor(*this, "server", "in-flight limit reached",
                 net::FrameServer::limits_of(options), draining) {
     if (options.response_cache_bytes > 0)
@@ -107,12 +108,8 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
   /// hydration failures map through wire_code_for like any other status.
   std::vector<std::uint8_t> device_error_reply(const Frame& frame,
                                                const Status& s) {
-    if (s.code() == util::StatusCode::kNotFound) {
-      unknown_device_rejections.fetch_add(1, std::memory_order_relaxed);
-      obs::MetricsRegistry::global()
-          .counter("server.unknown_device_rejections")
-          .add();
-    }
+    if (s.code() == util::StatusCode::kNotFound)
+      counters.add(kUnknownDeviceRejections);
     return error_frame(frame.request_id, frame.device_id, wire_code_for(s),
                        s.message());
   }
@@ -136,15 +133,14 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
   std::unordered_map<std::uint64_t, std::vector<PendingItem>> pending;
   std::size_t pending_count = 0;
 
-  // Stats (relaxed atomics; read via AuthServer::stats()).  The transport
-  // counters live in the reactor.
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> unknown_device_rejections{0};
-  std::atomic<std::uint64_t> coalesced_batches{0};
-  std::atomic<std::uint64_t> coalesced_items{0};
-  std::atomic<std::uint64_t> solo_dispatches{0};
-  std::atomic<std::uint64_t> enrolls_served{0};
-  std::atomic<std::uint64_t> wal_fetches_served{0};
+  // Stats, read via AuthServer::stats(); the transport counters live in
+  // the reactor.  Indices into `counters` (obs::kServerEvents).
+  enum Event : std::size_t {
+    kRequests, kUnknownDeviceRejections, kCoalescedBatches, kCoalescedItems,
+    kSoloDispatches, kEnrollsServed, kWalFetchesServed, kEventCount
+  };
+  static_assert(std::size(obs::kServerEvents) == kEventCount);
+  obs::CounterSet counters;
 
   /// Declared last so it is destroyed FIRST: its pool joins workers that
   /// are still running handler code against the members above.
@@ -174,7 +170,7 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
   /// gateway's health probe doubles as replication-lag telemetry.
   net::HealthInfo health_info() const override {
     net::HealthInfo h = reactor.transport_health();
-    h.requests_served = requests.load(std::memory_order_relaxed);
+    h.requests_served = counters.value(kRequests);
     h.device_count = device_registry.device_count();
     const registry::DeviceRegistry::WalPosition pos =
         device_registry.wal_position();
@@ -243,22 +239,15 @@ void AuthServer::stop() {
 AuthServer::Stats AuthServer::stats() const {
   Stats s;
   if (impl_ == nullptr) return s;
-  const net::FrameServer::Stats t = impl_->reactor.stats();
-  s.connections_accepted = t.connections_accepted;
-  s.requests = impl_->requests.load(std::memory_order_relaxed);
-  s.overloaded_rejections = t.overloaded_rejections;
-  s.shutdown_rejections = t.shutdown_rejections;
-  s.malformed_frames = t.malformed_frames;
-  s.unknown_device_rejections =
-      impl_->unknown_device_rejections.load(std::memory_order_relaxed);
-  s.coalesced_batches =
-      impl_->coalesced_batches.load(std::memory_order_relaxed);
-  s.coalesced_items = impl_->coalesced_items.load(std::memory_order_relaxed);
-  s.solo_dispatches = impl_->solo_dispatches.load(std::memory_order_relaxed);
-  s.slow_peer_disconnects = t.slow_peer_disconnects;
-  s.enrolls_served = impl_->enrolls_served.load(std::memory_order_relaxed);
-  s.wal_fetches_served =
-      impl_->wal_fetches_served.load(std::memory_order_relaxed);
+  impl_->reactor.transport_stats(&s);
+  const obs::CounterSet& c = impl_->counters;
+  s.requests = c.value(Impl::kRequests);
+  s.unknown_device_rejections = c.value(Impl::kUnknownDeviceRejections);
+  s.coalesced_batches = c.value(Impl::kCoalescedBatches);
+  s.coalesced_items = c.value(Impl::kCoalescedItems);
+  s.solo_dispatches = c.value(Impl::kSoloDispatches);
+  s.enrolls_served = c.value(Impl::kEnrollsServed);
+  s.wal_fetches_served = c.value(Impl::kWalFetchesServed);
   return s;
 }
 
@@ -266,9 +255,7 @@ AuthServer::Stats AuthServer::stats() const {
 
 std::vector<std::uint8_t> AuthServer::Impl::dispatch(
     std::uint64_t connection_id, Frame frame) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  requests.fetch_add(1, std::memory_order_relaxed);
-  reg.counter("server.requests").add();
+  counters.add(kRequests);
 
   // Budget is re-anchored NOW, at decode: queue wait burns budget.
   const util::Deadline deadline = frame.deadline();
@@ -296,10 +283,7 @@ std::vector<std::uint8_t> AuthServer::Impl::dispatch(
   batch.push_back({connection_id, std::move(frame), deadline,
                    std::chrono::steady_clock::now()});
   if (!joins_window) {
-    if (coalescing) {
-      solo_dispatches.fetch_add(1, std::memory_order_relaxed);
-      reg.counter("server.solo_dispatches").add();
-    }
+    if (coalescing) counters.add(kSoloDispatches);
     submit_batch(device_id, std::move(solo));
     return {};
   }
@@ -325,11 +309,9 @@ void AuthServer::Impl::flush_device_batch(std::uint64_t device_id) {
   pending.erase(it);
   pending_count -= items.size();
 
+  counters.add(kCoalescedBatches);
+  counters.add(kCoalescedItems, items.size());
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  coalesced_batches.fetch_add(1, std::memory_order_relaxed);
-  coalesced_items.fetch_add(items.size(), std::memory_order_relaxed);
-  reg.counter("server.coalesced_batches").add();
-  reg.counter("server.coalesced_items").add(items.size());
   reg.histogram("server.batch_size")
       .record(static_cast<double>(items.size()));
   const auto waited = std::chrono::steady_clock::now() -
@@ -560,7 +542,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_enroll(
   if (Status s = device_registry.enroll(request, &assigned); !s.is_ok())
     return error_frame(frame.request_id, frame.device_id,
                        wire_code_for(s), s.message());
-  enrolls_served.fetch_add(1, std::memory_order_relaxed);
+  counters.add(kEnrollsServed);
   net::EnrollReplyBody reply;
   reply.device_id = assigned;
   return net::encode_frame(MessageType::kEnrollReply, frame.request_id,
@@ -608,7 +590,7 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_wal_fetch(
     reply.epoch = request.epoch;
     reply.next_offset = request.offset + reply.bytes.size();
   }
-  wal_fetches_served.fetch_add(1, std::memory_order_relaxed);
+  counters.add(kWalFetchesServed);
   return net::encode_frame(MessageType::kWalSegmentReply, frame.request_id,
                            frame.device_id, 0,
                            net::encode_wal_segment_reply(reply));

@@ -29,9 +29,11 @@
 #include "net/client.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "ppuf/ppuf.hpp"
 #include "protocol/authentication.hpp"
 #include "registry/device_registry.hpp"
+#include "registry/hydration_cache.hpp"
 #include "server/auth_server.hpp"
 #include "testing/fault_injection.hpp"
 #include "util/fault_hooks.hpp"
@@ -778,6 +780,215 @@ TEST(AuthClientBreaker, TripsPerEndpointNotPerProcess) {
   EXPECT_GT(client.stats().breaker_fast_fails, fast_fails);
 
   live.server->stop();
+}
+
+// --- one count, two views ------------------------------------------------
+//
+// Every counter field of a serving Stats struct is counted once, in its
+// instance's obs::CounterSet, and mirrored into the global registry under
+// `<prefix>.<field>` while that registry is enabled.  So with several
+// instances in one process, each instance's Stats holds only its own
+// events, and each global counter is the sum of the instances' fields.
+
+template <typename Stats>
+using StatsField = std::pair<const char*, std::uint64_t Stats::*>;
+
+/// The global counter `<prefix>.<field>` for every listed field, against
+/// the field summed over `instances`.
+template <typename Stats>
+void expect_global_sums(const std::string& prefix,
+                        const std::vector<StatsField<Stats>>& fields,
+                        const std::vector<Stats>& instances) {
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  for (const auto& [name, field] : fields) {
+    std::uint64_t sum = 0;
+    for (const Stats& s : instances) sum += s.*field;
+    EXPECT_EQ(reg.counter_value(prefix + "." + name), sum)
+        << prefix << "." << name;
+  }
+}
+
+TEST(ObsMetrics, InstanceStatsAndGlobalCountersAgree) {
+  using HStats = registry::HydrationCache::Stats;
+  using SStats = AuthServer::Stats;
+  using GStats = Gateway::Stats;
+  using WStats = WalStandby::Stats;
+  const std::vector<StatsField<HStats>> hydration_fields = {
+      {"hits", &HStats::hits},
+      {"misses", &HStats::misses},
+      {"single_flight_waits", &HStats::single_flight_waits},
+      {"evictions", &HStats::evictions}};
+  const std::vector<StatsField<SStats>> server_fields = {
+      {"connections_accepted", &SStats::connections_accepted},
+      {"requests", &SStats::requests},
+      {"overloaded_rejections", &SStats::overloaded_rejections},
+      {"shutdown_rejections", &SStats::shutdown_rejections},
+      {"malformed_frames", &SStats::malformed_frames},
+      {"unknown_device_rejections", &SStats::unknown_device_rejections},
+      {"coalesced_batches", &SStats::coalesced_batches},
+      {"coalesced_items", &SStats::coalesced_items},
+      {"solo_dispatches", &SStats::solo_dispatches},
+      {"slow_peer_disconnects", &SStats::slow_peer_disconnects},
+      {"enrolls_served", &SStats::enrolls_served},
+      {"wal_fetches_served", &SStats::wal_fetches_served}};
+  const std::vector<StatsField<GStats>> gateway_fields = {
+      {"connections_accepted", &GStats::connections_accepted},
+      {"requests", &GStats::requests},
+      {"forwarded", &GStats::forwarded},
+      {"redirects_sent", &GStats::redirects_sent},
+      {"unavailable_rejections", &GStats::unavailable_rejections},
+      {"overloaded_rejections", &GStats::overloaded_rejections},
+      {"shutdown_rejections", &GStats::shutdown_rejections},
+      {"malformed_frames", &GStats::malformed_frames},
+      {"admin_requests", &GStats::admin_requests},
+      {"pins_created", &GStats::pins_created},
+      {"health_probes", &GStats::health_probes},
+      {"dropped_inflight", &GStats::dropped_inflight},
+      {"slow_peer_disconnects", &GStats::slow_peer_disconnects}};
+  const std::vector<StatsField<WStats>> standby_fields = {
+      {"fetches", &WStats::fetches},
+      {"bootstraps", &WStats::bootstraps},
+      {"bytes_applied", &WStats::bytes_applied},
+      {"fetch_errors", &WStats::fetch_errors}};
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  // The standard schema carries every field's name before any instance
+  // exists.
+  obs::register_standard_metrics(reg);
+  for (const auto& [name, field] : hydration_fields)
+    EXPECT_TRUE(reg.has_metric(std::string("registry.hydration.") + name))
+        << name;
+  for (const auto& [name, field] : server_fields)
+    EXPECT_TRUE(reg.has_metric(std::string("server.") + name)) << name;
+  for (const auto& [name, field] : gateway_fields)
+    EXPECT_TRUE(reg.has_metric(std::string("gateway.") + name)) << name;
+  for (const auto& [name, field] : standby_fields)
+    EXPECT_TRUE(reg.has_metric(std::string("standby.") + name)) << name;
+
+  // Two hydration caches over one registry, before any server runs (a
+  // server's own cache is not observable from here).  Different traffic
+  // per cache, so a field read off the wrong counter cannot pass.
+  {
+    registry::DeviceRegistry devices;
+    ASSERT_TRUE(devices.open(fresh_dir("obs_hydration")).is_ok());
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+      registry::EnrollRequest req;
+      req.node_count = kNodes;
+      req.grid_size = kGrid;
+      req.seed = kDeviceSeedBase + id;
+      req.device_id = id;
+      ASSERT_TRUE(devices.enroll(req, nullptr).is_ok());
+    }
+    registry::HydrationCache::Options ho;
+    ho.max_entries = 1;
+    registry::HydrationCache one(devices, ho), two(devices, ho);
+    std::shared_ptr<const registry::HydratedDevice> d;
+    for (const std::uint64_t id : {1, 1, 2})  // miss, hit, miss + eviction
+      ASSERT_TRUE(one.get(id, &d).is_ok());
+    for (const std::uint64_t id : {2, 2, 2, 2})  // miss, then three hits
+      ASSERT_TRUE(two.get(id, &d).is_ok());
+    const HStats h1 = one.stats(), h2 = two.stats();
+    EXPECT_EQ(h1.hits, 1u);
+    EXPECT_EQ(h1.misses, 2u);
+    EXPECT_EQ(h1.evictions, 1u);
+    EXPECT_EQ(h2.hits, 3u);
+    EXPECT_EQ(h2.misses, 1u);
+    EXPECT_EQ(h2.evictions, 0u);
+    expect_global_sums("registry.hydration", hydration_fields, {h1, h2});
+  }
+
+  Shard a, b;
+  ASSERT_TRUE(a.open_and_start("obs_a", 31).is_ok());
+  ASSERT_TRUE(b.open_and_start("obs_b", 32).is_ok());
+  GatewayOptions go;
+  go.health_interval_ms = 25;
+  Gateway gateway(go);
+  ASSERT_TRUE(gateway.add_shard("s", "127.0.0.1", a.server->port()).is_ok());
+  ASSERT_TRUE(gateway.start().is_ok());
+  AuthClient admin_client("127.0.0.1", gateway.port());
+  wait_all_shards_up(admin_client, 1);
+
+  // ENROLL through the gateway (served by a) and directly on b; an
+  // unknown device through the gateway (refused by a).
+  std::uint64_t assigned = 0;
+  AuthClient via_gateway("127.0.0.1", gateway.port(), client_options_for(1));
+  ASSERT_TRUE(via_gateway.enroll_device(enroll_spec(1), 1, &assigned).is_ok());
+  AuthClient direct_b("127.0.0.1", b.server->port(), client_options_for(1));
+  ASSERT_TRUE(direct_b.enroll_device(enroll_spec(1), 1, &assigned).is_ok());
+  net::ChallengeGrant grant;
+  AuthClient unknown("127.0.0.1", gateway.port(), client_options_for(999));
+  EXPECT_EQ(unknown.get_challenge(&grant).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(via_gateway.get_challenge(&grant).is_ok());  // pins on a
+
+  // WAL shipping from a: a bootstrap, then a segment with one record.
+  StandbyOptions so;
+  so.primary_port = a.server->port();
+  so.directory = fresh_dir("obs_standby");
+  WalStandby standby(so);
+  ASSERT_TRUE(standby.start().is_ok());
+  standby.stop();
+  ASSERT_TRUE(standby.sync_once().is_ok());
+  AuthClient direct_a("127.0.0.1", a.server->port(), client_options_for(2));
+  ASSERT_TRUE(direct_a.enroll_device(enroll_spec(2), 2, &assigned).is_ok());
+  ASSERT_TRUE(standby.sync_once().is_ok());
+
+  // Drain s naming b: a new session is redirected there.  Then remove s:
+  // the empty ring answers SHARD_UNAVAILABLE.
+  net::AdminRequestBody drain;
+  drain.op = net::AdminOp::kDrainShard;
+  drain.shard = "s";
+  drain.host = "127.0.0.1";
+  drain.port = b.server->port();
+  net::AdminReplyBody reply;
+  ASSERT_TRUE(admin_client.admin(drain, &reply).is_ok());
+  AuthClient redirected("127.0.0.1", gateway.port(), client_options_for(1));
+  ASSERT_TRUE(redirected.get_challenge(&grant).is_ok());
+  EXPECT_GE(redirected.stats().redirects_followed, 1u);
+  net::AdminRequestBody remove;
+  remove.op = net::AdminOp::kRemoveShard;
+  remove.shard = "s";
+  ASSERT_TRUE(admin_client.admin(remove, &reply).is_ok());
+  ClientOptions once = client_options_for(1);
+  once.max_attempts = 1;
+  AuthClient stranded("127.0.0.1", gateway.port(), once);
+  EXPECT_FALSE(stranded.get_challenge(&grant).is_ok());
+
+  // A fetch against a stopped primary fails.  Everything stops before the
+  // comparison, so no prober or poller moves a count mid-read.
+  gateway.stop();
+  a.server->stop();
+  b.server->stop();
+  EXPECT_FALSE(standby.sync_once().is_ok());
+
+  const SStats sa = a.server->stats(), sb = b.server->stats();
+  const GStats g = gateway.stats();
+  const WStats w = standby.stats();
+  reg.set_enabled(false);
+
+  // Each instance counted only its own events...
+  EXPECT_EQ(sa.enrolls_served, 2u);
+  EXPECT_EQ(sb.enrolls_served, 1u);
+  EXPECT_EQ(sa.unknown_device_rejections, 1u);
+  EXPECT_EQ(sb.unknown_device_rejections, 0u);
+  EXPECT_EQ(sa.wal_fetches_served, w.fetches);
+  EXPECT_EQ(sb.wal_fetches_served, 0u);
+  EXPECT_GE(g.redirects_sent, 1u);
+  EXPECT_GE(g.unavailable_rejections, 1u);
+  EXPECT_GE(g.pins_created, 1u);
+  EXPECT_GE(g.forwarded, 3u);
+  EXPECT_GE(g.admin_requests, 3u);
+  EXPECT_GE(g.health_probes, 1u);
+  EXPECT_EQ(g.dropped_inflight, 0u);
+  EXPECT_EQ(w.bootstraps, 1u);
+  EXPECT_GT(w.bytes_applied, 0u);
+  EXPECT_EQ(w.fetch_errors, 1u);
+
+  // ...and each global counter is the sum of the instances' fields.
+  expect_global_sums("server", server_fields, {sa, sb});
+  expect_global_sums("gateway", gateway_fields, {g});
+  expect_global_sums("standby", standby_fields, {w});
 }
 
 }  // namespace

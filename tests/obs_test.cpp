@@ -162,6 +162,11 @@ TEST(ObsMetrics, DisabledRegistryAllocatesNothing) {
   reg.counter("warmup").add();
   reg.gauge("warmup").set(1);
   reg.histogram("warmup").record(1.0);
+  // A CounterSet allocates when built; its add() on the disabled global
+  // registry must not.
+  ASSERT_FALSE(MetricsRegistry::global().enabled());
+  constexpr std::string_view kEvents[] = {"event"};
+  CounterSet set("hot.path.set", kEvents);
 
   const std::uint64_t before = g_allocations.load();
   for (int i = 0; i < 100; ++i) {
@@ -169,11 +174,35 @@ TEST(ObsMetrics, DisabledRegistryAllocatesNothing) {
     reg.gauge("hot.path.gauge").set(i);
     reg.histogram("hot.path.histogram").record(1.5);
     ScopedTimer timer(reg, "hot.path.timer_us");
+    set.add(0);
   }
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(set.value(0), 100u);
+  EXPECT_EQ(MetricsRegistry::global().counter_value("hot.path.set.event"),
+            0u);
   // Nothing registered either: disabled lookups never touch the map.
   EXPECT_EQ(reg.metric_count(), 0u);
+}
+
+TEST(ObsMetrics, CounterSetMirrorsIntoGlobalOnlyWhileEnabled) {
+  MetricsRegistry& global = MetricsRegistry::global();
+  constexpr std::string_view kEvents[] = {"hits", "misses"};
+  CounterSet first("set.test", kEvents), second("set.test", kEvents);
+  first.add(0);  // disabled: instance only
+  global.set_enabled(true);
+  first.add(0, 2);
+  first.add(1);
+  second.add(0, 5);
+  global.set_enabled(false);
+  second.add(1);  // disabled again: instance only
+
+  EXPECT_EQ(first.value(0), 3u);
+  EXPECT_EQ(first.value(1), 1u);
+  EXPECT_EQ(second.value(0), 5u);
+  EXPECT_EQ(second.value(1), 1u);
+  EXPECT_EQ(global.counter_value("set.test.hits"), 7u);
+  EXPECT_EQ(global.counter_value("set.test.misses"), 1u);
 }
 
 TEST(ObsMetrics, ScopedTimerRecordsElapsedMicroseconds) {
