@@ -5,6 +5,7 @@
 #include "ppuf/feedback.hpp"
 #include "ppuf/ppuf.hpp"
 #include "protocol/codec.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ppuf::backend {
 
@@ -111,6 +112,13 @@ util::Status MaxFlowBackend::fabricate(
   if (symbolic_cache != nullptr) {
     puf.network_a().set_symbolic_cache(symbolic_cache);
     puf.network_b().set_symbolic_cache(symbolic_cache);
+  }
+  // The 4 n (n-1) block characterisations are independent: run them on a
+  // pool that lives for this call only, so no worker outlives the enroll
+  // (or is missing from a fork()ed child that enrolls).
+  {
+    util::ThreadPool pool(util::ThreadPool::default_thread_count());
+    puf.prepare(circuit::Environment::nominal(), &pool);
   }
   SimulationModel model(puf);
   Writer w;

@@ -345,6 +345,7 @@ void register_standard_metrics(MetricsRegistry& registry) {
   }
   events("server", kServerEvents);
   events("gateway", kGatewayEvents);
+  events("registry", kRegistryEvents);
   events("registry.hydration", kHydrationEvents);
   events("standby", kStandbyEvents);
   registry.gauge("registry.hydration.entries");

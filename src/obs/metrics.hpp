@@ -218,6 +218,9 @@ inline constexpr std::string_view kGatewayEvents[] = {
 /// registry::HydrationCache, `registry.hydration`:
 inline constexpr std::string_view kHydrationEvents[] = {
     "hits", "misses", "single_flight_waits", "evictions"};
+/// registry::DeviceRegistry, `registry`:
+inline constexpr std::string_view kRegistryEvents[] = {
+    "enrolls", "revokes", "compactions"};
 /// fleet::WalStandby, `standby`:
 inline constexpr std::string_view kStandbyEvents[] = {
     "fetches", "bootstraps", "bytes_applied", "fetch_errors"};

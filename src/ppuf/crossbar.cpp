@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "circuit/mna.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ppuf {
 
@@ -32,7 +33,8 @@ CrossbarNetwork::CrossbarNetwork(const PpufParams& params,
   }
 }
 
-void CrossbarNetwork::prepare(const circuit::Environment& env) {
+void CrossbarNetwork::prepare(const circuit::Environment& env,
+                              util::ThreadPool* pool) {
   if (prepared_ && same_env(env, cached_env_)) return;
   // Operating conditions changed: any stored warm-start point belongs to
   // the previous environment and must not seed the next solve.
@@ -41,12 +43,22 @@ void CrossbarNetwork::prepare(const circuit::Environment& env) {
     symbolic_cache_ = std::make_shared<circuit::SymbolicCache>();
   const std::size_t edges = variation_.size();
   curves_.assign(edges, {});
-  for (std::size_t e = 0; e < edges; ++e) {
+  const auto characterize = [&](std::size_t e) {
     for (int bit = 0; bit < 2; ++bit) {
       curves_[e][bit] =
           characterize_block(params_, variation_[e], bit, env,
                              symbolic_cache_);
     }
+  };
+  // Edge 0 runs first on the calling thread, as in the serial order: on a
+  // fresh cache its first solve publishes the sparse-LU analysis that
+  // every later solve replays.
+  characterize(0);
+  if (pool == nullptr) {
+    for (std::size_t e = 1; e < edges; ++e) characterize(e);
+  } else {
+    pool->parallel_for(edges - 1,
+                       [&](std::size_t i) { characterize(i + 1); });
   }
   if (!solver_) {
     solver_ = std::make_unique<NetworkSolver>(

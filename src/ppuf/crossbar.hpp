@@ -17,6 +17,10 @@
 #include "ppuf/network_solver.hpp"
 #include "util/rng.hpp"
 
+namespace ppuf::util {
+class ThreadPool;  // util/thread_pool.hpp
+}
+
 namespace ppuf {
 
 class CrossbarNetwork {
@@ -37,8 +41,12 @@ class CrossbarNetwork {
   }
 
   /// Characterise all block compact models for `env` (no-op if already
-  /// cached for the same environment).
-  void prepare(const circuit::Environment& env);
+  /// cached for the same environment).  With a `pool` (non-owning) the
+  /// blocks are characterised in parallel, one task per edge; each task
+  /// writes only its own curves and keeps its block's warm-start sweep, so
+  /// the curves are bit-identical to the serial run.
+  void prepare(const circuit::Environment& env,
+               util::ThreadPool* pool = nullptr);
 
   /// Share a circuit-level symbolic cache (MNA pattern + sparse-LU
   /// analysis) used during block characterisation.  All blocks have the

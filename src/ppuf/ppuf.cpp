@@ -42,9 +42,10 @@ MaxFlowPpuf::MaxFlowPpuf(const PpufParams& params, std::uint64_t seed)
   network_b_.set_symbolic_cache(cache);
 }
 
-void MaxFlowPpuf::prepare(const circuit::Environment& env) {
-  network_a_.prepare(env);
-  network_b_.prepare(env);
+void MaxFlowPpuf::prepare(const circuit::Environment& env,
+                          util::ThreadPool* pool) {
+  network_a_.prepare(env, pool);
+  network_b_.prepare(env, pool);
 }
 
 MaxFlowPpuf::Evaluation MaxFlowPpuf::evaluate(const Challenge& challenge,

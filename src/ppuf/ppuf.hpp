@@ -48,8 +48,10 @@ class MaxFlowPpuf {
                           circuit::Environment::nominal(),
                       util::Rng* noise_rng = nullptr);
 
-  /// Pre-characterise both networks for `env` (evaluate() does this lazily).
-  void prepare(const circuit::Environment& env);
+  /// Pre-characterise both networks for `env` (evaluate() does this
+  /// lazily), on `pool` when given (see CrossbarNetwork::prepare).
+  void prepare(const circuit::Environment& env,
+               util::ThreadPool* pool = nullptr);
 
   /// Opt in to warm-starting each network's Newton solve from its previous
   /// converged execution.  Chained authentication flips only a handful of

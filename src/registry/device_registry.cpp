@@ -45,11 +45,6 @@ Status read_file(const std::string& path, std::vector<std::uint8_t>* out,
   return Status::ok();
 }
 
-obs::Counter* counter_or_null(const char* name) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  return reg.enabled() ? &reg.counter(name) : nullptr;
-}
-
 /// RAII file descriptor so every error branch below closes exactly once.
 struct Fd {
   int fd = -1;
@@ -279,30 +274,42 @@ util::Status DeviceRegistry::enroll(const EnrollRequest& request,
                                          request.grid_size);
       !s.is_ok())
     return s;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!open_) return Status::internal("registry not open");
+  // Checked before fabricating (fail fast) and again at publish (another
+  // enroll may have taken the id, or the registry closed, meanwhile).
   // Explicit ids come from gateway routing: the id the client hashed on
   // must be the id stored, and a collision is the client's error, never a
   // silent overwrite of another device's published model.
-  if (request.device_id != 0 && entries_.count(request.device_id) != 0)
-    return Status::invalid_argument(
-        "device " + std::to_string(request.device_id) +
-        " is already enrolled");
+  const auto admit_locked = [&]() -> Status {
+    if (!open_) return Status::internal("registry not open");
+    if (request.device_id != 0 && entries_.count(request.device_id) != 0)
+      return Status::invalid_argument(
+          "device " + std::to_string(request.device_id) +
+          " is already enrolled");
+    return Status::ok();
+  };
+  std::shared_ptr<circuit::SymbolicCache> symbolic_cache;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (Status s = admit_locked(); !s.is_ok()) return s;
+    // The fleet-level symbolic cache gives max-flow enrollments
+    // circuit-analysis reuse; backends without a circuit stage ignore it
+    // (so it is only created for the backends that use it).
+    if (request.backend == backend::BackendKind::kMaxFlow &&
+        enroll_symbolic_cache_ == nullptr)
+      enroll_symbolic_cache_ = std::make_shared<circuit::SymbolicCache>();
+    symbolic_cache = enroll_symbolic_cache_;
+  }
 
   // Fabricate the instance and extract its public model — enrollment *is*
-  // the publish step of the PPUF lifecycle.  The fleet-level symbolic
-  // cache gives max-flow enrollments circuit-analysis reuse; backends
-  // without a circuit stage ignore it (so it is only created for the
-  // backends that use it).
-  if (request.backend == backend::BackendKind::kMaxFlow &&
-      enroll_symbolic_cache_ == nullptr)
-    enroll_symbolic_cache_ = std::make_shared<circuit::SymbolicCache>();
+  // the publish step of the PPUF lifecycle.  This is nearly all of an
+  // enroll's time, so it runs without mutex_: reads, revokes and other
+  // enrolls proceed meanwhile.
   backend::FabricateRequest fab;
   fab.node_count = request.node_count;
   fab.grid_size = request.grid_size;
   fab.seed = request.seed;
   std::vector<std::uint8_t> model_bytes;
-  if (Status s = impl->fabricate(fab, enroll_symbolic_cache_, &model_bytes);
+  if (Status s = impl->fabricate(fab, symbolic_cache, &model_bytes);
       !s.is_ok())
     return s;
 
@@ -312,7 +319,6 @@ util::Status DeviceRegistry::enroll(const EnrollRequest& request,
   record.type = request.backend == backend::BackendKind::kMaxFlow
                     ? WalRecord::Type::kEnroll
                     : WalRecord::Type::kEnrollTagged;
-  record.entry.id = request.device_id != 0 ? request.device_id : next_id_;
   record.entry.nodes = static_cast<std::uint32_t>(request.node_count);
   record.entry.grid = static_cast<std::uint32_t>(request.grid_size);
   record.entry.label = request.label;
@@ -320,6 +326,11 @@ util::Status DeviceRegistry::enroll(const EnrollRequest& request,
   record.entry.backend = request.backend;
   record.entry.model_bytes = std::move(model_bytes);
 
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (Status s = admit_locked(); !s.is_ok()) return s;
+  // The id is assigned in the same lock hold as the WAL append, so WAL
+  // order is id order however the fabrications interleaved.
+  record.entry.id = request.device_id != 0 ? request.device_id : next_id_;
   // WAL first, memory second: state the process acknowledges is state a
   // restart will reconstruct.
   if (Status s = append_record_locked(record); !s.is_ok()) return s;
@@ -328,7 +339,7 @@ util::Status DeviceRegistry::enroll(const EnrollRequest& request,
   next_id_ = std::max(next_id_, id + 1);
   ++wal_records_since_snapshot_;
   if (id_out != nullptr) *id_out = id;
-  if (obs::Counter* c = counter_or_null("registry.enrolls")) c->add();
+  counters_.add(kEnrolls);
 
   // Auto-compaction is best-effort: the enroll is already durable in the
   // WAL, so a failed snapshot must not make it look failed.
@@ -352,7 +363,7 @@ util::Status DeviceRegistry::revoke(std::uint64_t id) {
   if (Status s = append_record_locked(record); !s.is_ok()) return s;
   it->second.revoked = true;
   ++wal_records_since_snapshot_;
-  if (obs::Counter* c = counter_or_null("registry.revokes")) c->add();
+  counters_.add(kRevokes);
   if (options_.auto_compact_records > 0 &&
       wal_records_since_snapshot_ >= options_.auto_compact_records)
     (void)compact_locked();
@@ -482,8 +493,13 @@ util::Status DeviceRegistry::compact_locked() {
   // Compaction rewrote history: old offsets no longer name the same
   // bytes, so standbys must re-bootstrap.
   wal_epoch_ = fresh_wal_epoch();
-  if (obs::Counter* c = counter_or_null("registry.compactions")) c->add();
+  counters_.add(kCompactions);
   return Status::ok();
+}
+
+DeviceRegistry::Stats DeviceRegistry::stats() const {
+  return Stats{counters_.value(kEnrolls), counters_.value(kRevokes),
+               counters_.value(kCompactions)};
 }
 
 DeviceRegistry::RecoveryStats DeviceRegistry::recovery_stats() const {

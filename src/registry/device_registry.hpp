@@ -31,18 +31,23 @@
 // stays bounded under continuous enrollment.
 //
 // Thread safety: every public method is safe to call concurrently; one
-// mutex guards the map and the log file.  Reads that services care about
-// (contains / active / load_model) are map lookups plus, for load_model,
-// one model decode — the hydration cache above this class amortises that.
+// mutex guards the map and the log file.  enroll() fabricates without it
+// and takes it only to admit the request and, afterwards, to assign the
+// id, append to the WAL and publish, so a fabrication never stalls a
+// read.  Reads that services care about (contains / active / load_model)
+// are map lookups plus, for load_model, one model decode — the hydration
+// cache above this class amortises that.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "ppuf/sim_model.hpp"
 #include "registry/record.hpp"
 #include "util/status.hpp"
@@ -95,6 +100,14 @@ class DeviceRegistry {
     std::size_t truncated_tail_bytes = 0;  ///< torn bytes dropped at EOF
   };
 
+  /// Mutations since construction, counted in this instance's
+  /// obs::CounterSet (`registry.*`, obs::kRegistryEvents).
+  struct Stats {
+    std::uint64_t enrolls = 0;
+    std::uint64_t revokes = 0;
+    std::uint64_t compactions = 0;  ///< explicit, automatic and bootstrap
+  };
+
   DeviceRegistry() = default;
   DeviceRegistry(const DeviceRegistry&) = delete;
   DeviceRegistry& operator=(const DeviceRegistry&) = delete;
@@ -113,7 +126,9 @@ class DeviceRegistry {
 
   /// Fabricate, derive the public model, assign the next id, persist.
   /// On success `*id_out` is the stable device id (ids start at 1 and are
-  /// never reused, including across revocations and restarts).
+  /// never reused, including across revocations and restarts).  Ids are
+  /// assigned when the enroll publishes, not when it starts, so concurrent
+  /// enrolls get ids (and WAL positions) in completion order.
   util::Status enroll(const EnrollRequest& request, std::uint64_t* id_out);
 
   /// Mark a device revoked (idempotent).  kNotFound for unknown ids.
@@ -143,6 +158,7 @@ class DeviceRegistry {
   util::Status compact();
 
   RecoveryStats recovery_stats() const;
+  Stats stats() const;
 
   // --- WAL shipping (primary side) ---------------------------------------
   //
@@ -203,6 +219,11 @@ class DeviceRegistry {
   std::string wal_path() const { return directory_ + "/wal.log"; }
   std::string snapshot_path() const { return directory_ + "/snapshot.bin"; }
 
+  /// Indices into counters_ (obs::kRegistryEvents).
+  enum Event : std::size_t { kEnrolls, kRevokes, kCompactions, kEventCount };
+  static_assert(std::size(obs::kRegistryEvents) == kEventCount);
+  obs::CounterSet counters_{"registry", obs::kRegistryEvents};
+
   mutable std::mutex mutex_;
   std::string directory_;
   Options options_;
@@ -223,7 +244,8 @@ class DeviceRegistry {
   /// Fleet-level circuit symbolic cache: every enrolled device's blocks
   /// share one netlist topology, so the MNA pattern + sparse-LU analysis
   /// from the first enrollment is replayed by all later ones.  Created
-  /// lazily on the first enroll; guarded by mutex_.
+  /// lazily on the first enroll; the pointer is guarded by mutex_, the
+  /// cache itself is safe for concurrent fabrications.
   std::shared_ptr<circuit::SymbolicCache> enroll_symbolic_cache_;
 };
 

@@ -686,12 +686,18 @@ TEST(Coalescing, SlowPeerIsDisconnectedAtBacklogBound) {
   net::Socket slow;
   ASSERT_TRUE(
       net::connect_tcp("127.0.0.1", srv.port(), 2000, &slow).is_ok());
+  // All ten PINGs go out in one send: a server that answers the first
+  // frames and trips the bound before the rest arrive must not be able to
+  // close the socket under a later send.
+  std::vector<std::uint8_t> pings;
   for (std::uint64_t id = 1; id <= 10; ++id) {
     const std::vector<std::uint8_t> f = net::encode_frame(
         MessageType::kPingRequest, id, device_id, 0,
         net::encode_ping_request(0));
-    ASSERT_TRUE(net::send_all(slow.fd(), f.data(), f.size(), io).is_ok());
+    pings.insert(pings.end(), f.begin(), f.end());
   }
+  ASSERT_TRUE(
+      net::send_all(slow.fd(), pings.data(), pings.size(), io).is_ok());
 
   // The backlog bound trips without any worker blocking on the peer.
   const auto wait_until = std::chrono::steady_clock::now() +

@@ -813,6 +813,11 @@ TEST(ObsMetrics, InstanceStatsAndGlobalCountersAgree) {
   using SStats = AuthServer::Stats;
   using GStats = Gateway::Stats;
   using WStats = WalStandby::Stats;
+  using RStats = registry::DeviceRegistry::Stats;
+  const std::vector<StatsField<RStats>> registry_fields = {
+      {"enrolls", &RStats::enrolls},
+      {"revokes", &RStats::revokes},
+      {"compactions", &RStats::compactions}};
   const std::vector<StatsField<HStats>> hydration_fields = {
       {"hits", &HStats::hits},
       {"misses", &HStats::misses},
@@ -857,6 +862,8 @@ TEST(ObsMetrics, InstanceStatsAndGlobalCountersAgree) {
   // The standard schema carries every field's name before any instance
   // exists.
   obs::register_standard_metrics(reg);
+  for (const auto& [name, field] : registry_fields)
+    EXPECT_TRUE(reg.has_metric(std::string("registry.") + name)) << name;
   for (const auto& [name, field] : hydration_fields)
     EXPECT_TRUE(reg.has_metric(std::string("registry.hydration.") + name))
         << name;
@@ -866,6 +873,35 @@ TEST(ObsMetrics, InstanceStatsAndGlobalCountersAgree) {
     EXPECT_TRUE(reg.has_metric(std::string("gateway.") + name)) << name;
   for (const auto& [name, field] : standby_fields)
     EXPECT_TRUE(reg.has_metric(std::string("standby.") + name)) << name;
+
+  // Two device registries with different traffic, before any other
+  // registry of this test exists.
+  {
+    registry::DeviceRegistry one, two;
+    ASSERT_TRUE(one.open(fresh_dir("obs_registry_one")).is_ok());
+    ASSERT_TRUE(two.open(fresh_dir("obs_registry_two")).is_ok());
+    registry::EnrollRequest req;
+    req.node_count = kNodes;
+    req.grid_size = kGrid;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      req.seed = kDeviceSeedBase + seed;
+      ASSERT_TRUE(one.enroll(req, nullptr).is_ok());
+    }
+    ASSERT_TRUE(one.revoke(1).is_ok());
+    ASSERT_TRUE(one.revoke(1).is_ok());  // idempotent: not a second revoke
+    ASSERT_TRUE(one.compact().is_ok());
+    ASSERT_TRUE(two.enroll(req, nullptr).is_ok());
+    ASSERT_TRUE(two.compact().is_ok());
+    ASSERT_TRUE(two.compact().is_ok());
+    const RStats r1 = one.stats(), r2 = two.stats();
+    EXPECT_EQ(r1.enrolls, 2u);
+    EXPECT_EQ(r1.revokes, 1u);
+    EXPECT_EQ(r1.compactions, 1u);
+    EXPECT_EQ(r2.enrolls, 1u);
+    EXPECT_EQ(r2.revokes, 0u);
+    EXPECT_EQ(r2.compactions, 2u);
+    expect_global_sums("registry", registry_fields, {r1, r2});
+  }
 
   // Two hydration caches over one registry, before any server runs (a
   // server's own cache is not observable from here).  Different traffic

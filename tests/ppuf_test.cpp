@@ -8,11 +8,13 @@
 
 #include <cmath>
 
+#include "ppuf/block.hpp"
 #include "ppuf/delay.hpp"
 #include "ppuf/feedback.hpp"
 #include "ppuf/power.hpp"
 #include "ppuf/ppuf.hpp"
 #include "ppuf/sim_model.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ppuf {
 namespace {
@@ -116,6 +118,72 @@ TEST(Ppuf, SimulationPredictsResponseBits) {
   // The model is accurate to <1-2%, flow differences are usually larger:
   // expect near-perfect but tolerate a marginal challenge.
   EXPECT_GE(agree, trials - 2);
+}
+
+/// Every block curve of both networks, compared bit for bit: the value and
+/// slope at every characterisation knot, the knot range and isat.
+void expect_identical_curves(const MaxFlowPpuf& serial,
+                             const MaxFlowPpuf& pooled) {
+  const std::vector<double> grid = characterization_grid(serial.params());
+  const std::size_t edges = serial.layout().edge_count();
+  for (int net = 0; net < 2; ++net) {
+    const CrossbarNetwork& a = net == 0 ? serial.network_a()
+                                        : serial.network_b();
+    const CrossbarNetwork& b = net == 0 ? pooled.network_a()
+                                        : pooled.network_b();
+    for (graph::EdgeId e = 0; e < edges; ++e) {
+      for (int bit = 0; bit < 2; ++bit) {
+        const BlockCurve& ca = a.curve(e, bit);
+        const BlockCurve& cb = b.curve(e, bit);
+        ASSERT_EQ(ca.isat, cb.isat) << "net " << net << " edge " << e;
+        ASSERT_EQ(ca.iv.x_min(), cb.iv.x_min());
+        ASSERT_EQ(ca.iv.x_max(), cb.iv.x_max());
+        for (const double v : grid) {
+          double da = 0.0, db = 0.0;
+          ASSERT_EQ(ca.iv(v, &da), cb.iv(v, &db))
+              << "net " << net << " edge " << e << " bit " << bit
+              << " V=" << v;
+          ASSERT_EQ(da, db);
+        }
+      }
+    }
+  }
+}
+
+TEST(Ppuf, PooledPrepareMatchesSerialBitForBit) {
+  util::ThreadPool pool(4);
+  for (const std::size_t n : {6u, 24u}) {
+    for (const std::uint64_t seed : {31u, 32u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
+                   std::to_string(seed));
+      MaxFlowPpuf serial(small_params(n, 3), seed);
+      MaxFlowPpuf pooled(small_params(n, 3), seed);
+      serial.prepare(kNominal);
+      pooled.prepare(kNominal, &pool);
+      expect_identical_curves(serial, pooled);
+    }
+  }
+
+  // Off-nominal conditions re-characterise every block and drop the
+  // stored warm-start point, on the pooled path as on the serial one.
+  const circuit::Environment hot{0.9, 80.0};
+  MaxFlowPpuf serial(small_params(6, 3), 33);
+  MaxFlowPpuf pooled(small_params(6, 3), 33);
+  serial.prepare(kNominal);
+  pooled.prepare(kNominal, &pool);
+  pooled.set_warm_start(true);
+  util::Rng rng(9);
+  const Challenge c = random_challenge(pooled.layout(), rng);
+  ASSERT_TRUE(pooled.evaluate(c).converged);  // stores a warm start
+  serial.prepare(hot);
+  pooled.prepare(hot, &pool);
+  expect_identical_curves(serial, pooled);
+  // Both first solves under the new environment start cold.
+  const MaxFlowPpuf::Evaluation es = serial.evaluate(c, hot);
+  const MaxFlowPpuf::Evaluation ep = pooled.evaluate(c, hot);
+  ASSERT_TRUE(es.converged);
+  EXPECT_EQ(es.current_a, ep.current_a);
+  EXPECT_EQ(es.current_b, ep.current_b);
 }
 
 TEST(SimulationModel, CapacitiesArePositiveAndBitDependent) {

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -393,6 +395,157 @@ TEST(DeviceRegistry, SnapshotRenameFailureKeepsOldStateServing) {
   EXPECT_EQ(reopened.device_count(), 2u);
   EXPECT_TRUE(reopened.active(id1));
   EXPECT_TRUE(reopened.active(id2));
+}
+
+/// Device ids of the WAL's enroll records, in file order.
+std::vector<std::uint64_t> wal_enroll_ids(const std::string& dir) {
+  std::ifstream in(dir + "/wal.log", std::ios::binary);
+  const std::vector<std::uint8_t> bytes(std::istreambuf_iterator<char>(in),
+                                        {});
+  std::vector<std::uint64_t> ids;
+  std::size_t offset = 0;
+  while (offset < bytes.size()) {
+    std::size_t used = 0;
+    std::vector<std::uint8_t> body;
+    std::string error;
+    if (registry::extract_record(bytes.data() + offset,
+                                 bytes.size() - offset, &used, &body,
+                                 &error) != registry::ExtractStatus::kOk)
+      break;
+    protocol::codec::Reader r(body.data(), body.size());
+    registry::WalRecord record;
+    if (!registry::decode_wal_record(r, &record).is_ok()) break;
+    if (record.type == registry::WalRecord::Type::kEnroll)
+      ids.push_back(record.entry.id);
+    offset += used;
+  }
+  return ids;
+}
+
+TEST(DeviceRegistry, ConcurrentEnrollsGetDistinctIdsInWalOrder) {
+  const std::string dir = fresh_dir("concurrent_enroll");
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2;
+  {
+    DeviceRegistry reg;
+    ASSERT_TRUE(reg.open(dir).is_ok());
+    std::vector<std::thread> threads;
+    std::atomic<int> failures{0};
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int k = 0; k < kPerThread; ++k) {
+          const std::uint64_t seed = 500 + 10 * t + k;
+          std::uint64_t id = 0;
+          if (!reg.enroll(small_request(seed, std::to_string(seed)), &id)
+                   .is_ok())
+            failures.fetch_add(1);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(reg.stats().enrolls,
+              static_cast<std::uint64_t>(kThreads * kPerThread));
+  }
+
+  // Cold reopen: ids 1..8 with no gap, appended to the WAL in id order.
+  DeviceRegistry reg;
+  ASSERT_TRUE(reg.open(dir).is_ok());
+  EXPECT_EQ(reg.recovery_stats().wal_records,
+            static_cast<std::size_t>(kThreads * kPerThread));
+  const std::vector<std::uint64_t> ids = wal_enroll_ids(dir);
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i + 1);
+
+  // Each id holds the model of the seed its label names: no enroll
+  // published another's fabrication.
+  PpufParams params;
+  params.node_count = 6;
+  params.grid_size = 3;
+  for (const registry::DeviceInfo& d : reg.list()) {
+    MaxFlowPpuf chip(params, std::stoull(d.label));
+    protocol::codec::Writer w;
+    protocol::codec::encode_sim_model(w, SimulationModel(chip));
+    backend::BackendKind kind{};
+    std::vector<std::uint8_t> stored;
+    ASSERT_TRUE(reg.load_entry(d.id, &kind, &stored).is_ok());
+    EXPECT_EQ(stored, w.bytes()) << "device " << d.id;
+  }
+}
+
+TEST(DeviceRegistry, RacingExplicitIdEnrollsExactlyOnce) {
+  const std::string dir = fresh_dir("racing_explicit_id");
+  DeviceRegistry reg;
+  ASSERT_TRUE(reg.open(dir).is_ok());
+  constexpr std::uint64_t kId = 42;
+  Status results[2];
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      EnrollRequest req = small_request(900 + t, t == 0 ? "first" : "second");
+      req.device_id = kId;
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      results[t] = reg.enroll(req, nullptr);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const int winner = results[0].is_ok() ? 0 : 1;
+  ASSERT_TRUE(results[winner].is_ok());
+  const Status& loser = results[1 - winner];
+  EXPECT_EQ(loser.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loser.message().find("already enrolled"), std::string::npos)
+      << loser.message();
+  ASSERT_EQ(reg.device_count(), 1u);
+  EXPECT_EQ(reg.list()[0].label, winner == 0 ? "first" : "second");
+  EXPECT_EQ(reg.stats().enrolls, 1u);
+  EXPECT_EQ(wal_enroll_ids(dir), std::vector<std::uint64_t>{kId});
+}
+
+TEST(DeviceRegistry, ReadsDoNotWaitForFabrication) {
+  const std::string dir = fresh_dir("reads_during_enroll");
+  DeviceRegistry reg;
+  ASSERT_TRUE(reg.open(dir).is_ok());
+  std::uint64_t id = 0;
+  ASSERT_TRUE(reg.enroll(small_request(61), &id).is_ok());
+
+  // An n = 48 fabrication characterises 9024 blocks: long enough that a
+  // read stuck behind it is unmistakable.
+  std::atomic<bool> started{false}, done{false};
+  std::chrono::steady_clock::duration enroll_time{};
+  Status enrolled;
+  std::thread enroller([&] {
+    EnrollRequest big;
+    big.node_count = 48;
+    big.grid_size = 8;
+    big.seed = 62;
+    started.store(true);
+    const auto t0 = std::chrono::steady_clock::now();
+    enrolled = reg.enroll(big, nullptr);
+    enroll_time = std::chrono::steady_clock::now() - t0;
+    done.store(true);
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool active = reg.active(id);
+  const bool contains = reg.contains(id);
+  const auto read_time = std::chrono::steady_clock::now() - t0;
+  const bool in_flight = !done.load();
+  enroller.join();
+
+  ASSERT_TRUE(enrolled.is_ok()) << enrolled.to_string();
+  EXPECT_TRUE(active);
+  EXPECT_TRUE(contains);
+  EXPECT_TRUE(in_flight);
+  // A read that waited out the fabrication takes nearly all of it.
+  EXPECT_LT(read_time, enroll_time / 4)
+      << "read " << std::chrono::duration<double>(read_time).count()
+      << " s, enroll "
+      << std::chrono::duration<double>(enroll_time).count() << " s";
+  EXPECT_EQ(reg.device_count(), 2u);
 }
 
 TEST(DeviceRegistry, HundredThousandDevicesRecoverAndHydrateAWorkingSet) {
