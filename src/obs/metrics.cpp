@@ -182,6 +182,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
 CounterSet::CounterSet(std::string_view prefix,
                        std::span<const std::string_view> names)
     : global_(MetricsRegistry::global()),
+      size_(names.size()),
       slots_(std::make_unique<Slot[]>(names.size())) {
   std::lock_guard<std::mutex> lock(global_.mutex_);
   for (std::size_t i = 0; i < names.size(); ++i)
@@ -348,6 +349,7 @@ void register_standard_metrics(MetricsRegistry& registry) {
   events("registry", kRegistryEvents);
   events("registry.hydration", kHydrationEvents);
   events("standby", kStandbyEvents);
+  events("ppuf.response_cache", kResponseCacheEvents);
   registry.gauge("registry.hydration.entries");
   registry.histogram("registry.hydration.load_time_us");
 

@@ -189,6 +189,10 @@ class CounterSet {
     if (global_.enabled()) slot.global->add(delta);
   }
   std::uint64_t value(std::size_t i) const { return slots_[i].local.value(); }
+  /// Zero this instance's counts; the global counters keep their sums.
+  void reset() {
+    for (std::size_t i = 0; i < size_; ++i) slots_[i].local.reset();
+  }
 
  private:
   struct Slot {
@@ -196,6 +200,7 @@ class CounterSet {
     Counter* global = nullptr;
   };
   MetricsRegistry& global_;
+  std::size_t size_;
   std::unique_ptr<Slot[]> slots_;
 };
 
@@ -210,7 +215,7 @@ inline constexpr std::string_view kTransportEvents[] = {
 inline constexpr std::string_view kServerEvents[] = {
     "requests", "unknown_device_rejections", "coalesced_batches",
     "coalesced_items", "solo_dispatches", "enrolls_served",
-    "wal_fetches_served"};
+    "wal_fetches_served", "loop_cache_hits"};
 /// fleet::Gateway, `gateway`:
 inline constexpr std::string_view kGatewayEvents[] = {
     "requests", "forwarded", "redirects_sent", "unavailable_rejections",
@@ -221,6 +226,10 @@ inline constexpr std::string_view kHydrationEvents[] = {
 /// registry::DeviceRegistry, `registry`:
 inline constexpr std::string_view kRegistryEvents[] = {
     "enrolls", "revokes", "compactions"};
+/// ResponseCache, `ppuf.response_cache` (the same-named gauges are
+/// publish_metrics() snapshots):
+inline constexpr std::string_view kResponseCacheEvents[] = {
+    "hits", "misses", "evictions"};
 /// fleet::WalStandby, `standby`:
 inline constexpr std::string_view kStandbyEvents[] = {
     "fetches", "bootstraps", "bytes_applied", "fetch_errors"};

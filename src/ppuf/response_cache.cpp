@@ -45,16 +45,11 @@ struct ResponseCache::Shard {
                      KeyHash>
       index;
   std::size_t charged_bytes = 0;
-  // Registry-style counters (obs primitives) instead of ad-hoc integers;
-  // stats() aggregates them and publish_metrics() mirrors them into a
-  // MetricsRegistry snapshot.
-  obs::Counter hits;
-  obs::Counter misses;
-  obs::Counter evictions;
 };
 
 ResponseCache::ResponseCache(std::size_t capacity_bytes, unsigned shard_count)
-    : capacity_bytes_(capacity_bytes) {
+    : counters_("ppuf.response_cache", obs::kResponseCacheEvents),
+      capacity_bytes_(capacity_bytes) {
   const unsigned n = std::max(1u, shard_count);
   per_shard_capacity_ = capacity_bytes_ / n;
   shards_.reserve(n);
@@ -88,20 +83,31 @@ ResponseCache::Shard& ResponseCache::shard_for(const Key& key) {
   return *shards_[KeyHash{}(key) % shards_.size()];
 }
 
-std::optional<CachedResponse> ResponseCache::lookup(
-    std::uint64_t device_id, const Challenge& challenge,
-    const circuit::Environment& env) {
-  const Key key = make_key(device_id, challenge, env);
+std::optional<CachedResponse> ResponseCache::find(const Key& key) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    shard.misses.add();
-    return std::nullopt;
-  }
-  shard.hits.add();
+  if (it == shard.index.end()) return std::nullopt;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return it->second->second;
+}
+
+std::optional<CachedResponse> ResponseCache::lookup(
+    std::uint64_t device_id, const Challenge& challenge,
+    const circuit::Environment& env) {
+  std::optional<CachedResponse> hit =
+      find(make_key(device_id, challenge, env));
+  counters_.add(hit ? kHits : kMisses);
+  return hit;
+}
+
+std::optional<CachedResponse> ResponseCache::probe(
+    std::uint64_t device_id, const Challenge& challenge,
+    const circuit::Environment& env) {
+  std::optional<CachedResponse> hit =
+      find(make_key(device_id, challenge, env));
+  if (hit) counters_.add(kHits);
+  return hit;
 }
 
 void ResponseCache::insert(std::uint64_t device_id,
@@ -129,7 +135,7 @@ void ResponseCache::insert(std::uint64_t device_id,
     shard.charged_bytes -= entry_cost(victim.first);
     shard.index.erase(victim.first);
     shard.lru.pop_back();
-    shard.evictions.add();
+    counters_.add(kEvictions);
   }
 }
 
@@ -139,22 +145,20 @@ void ResponseCache::clear() {
     shard->lru.clear();
     shard->index.clear();
     shard->charged_bytes = 0;
-    // Counters describe the entries' lifetime; once the entries are gone
-    // the counts are about a cache that no longer exists.  Keeping them
-    // would make post-clear hit_rate() blend two unrelated populations.
-    shard->hits.reset();
-    shard->misses.reset();
-    shard->evictions.reset();
   }
+  // Counters describe the entries' lifetime; once the entries are gone
+  // the counts are about a cache that no longer exists.  Keeping them
+  // would make post-clear hit_rate() blend two unrelated populations.
+  counters_.reset();
 }
 
 ResponseCacheStats ResponseCache::stats() const {
   ResponseCacheStats total;
+  total.hits = counters_.value(kHits);
+  total.misses = counters_.value(kMisses);
+  total.evictions = counters_.value(kEvictions);
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total.hits += shard->hits.value();
-    total.misses += shard->misses.value();
-    total.evictions += shard->evictions.value();
     total.entries += shard->lru.size();
     total.charged_bytes += shard->charged_bytes;
   }
@@ -165,16 +169,12 @@ void ResponseCache::publish_metrics(obs::MetricsRegistry& registry,
                                     std::string_view prefix) const {
   if (!registry.enabled()) return;
   const std::string base(prefix);
-  std::uint64_t hits = 0, misses = 0, evictions = 0;
   std::uint64_t entries = 0, charged = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     std::uint64_t shard_entries = 0, shard_charged = 0;
     {
       const auto& shard = *shards_[i];
       std::lock_guard<std::mutex> lock(shard.mutex);
-      hits += shard.hits.value();
-      misses += shard.misses.value();
-      evictions += shard.evictions.value();
       shard_entries = shard.lru.size();
       shard_charged = shard.charged_bytes;
     }
@@ -186,10 +186,12 @@ void ResponseCache::publish_metrics(obs::MetricsRegistry& registry,
     registry.gauge(shard_base + ".charged_bytes")
         .set(static_cast<std::int64_t>(shard_charged));
   }
-  registry.gauge(base + ".hits").set(static_cast<std::int64_t>(hits));
-  registry.gauge(base + ".misses").set(static_cast<std::int64_t>(misses));
+  registry.gauge(base + ".hits")
+      .set(static_cast<std::int64_t>(counters_.value(kHits)));
+  registry.gauge(base + ".misses")
+      .set(static_cast<std::int64_t>(counters_.value(kMisses)));
   registry.gauge(base + ".evictions")
-      .set(static_cast<std::int64_t>(evictions));
+      .set(static_cast<std::int64_t>(counters_.value(kEvictions)));
   registry.gauge(base + ".entries").set(static_cast<std::int64_t>(entries));
   registry.gauge(base + ".charged_bytes")
       .set(static_cast<std::int64_t>(charged));

@@ -23,11 +23,13 @@
 //
 // Concurrency: the key space is split across `shard_count` independent
 // shards (chosen by key hash), each a mutex-guarded LRU list + hash map, so
-// batch workers contend only when they touch the same shard.  Counters
-// (hits / misses / evictions) are per-shard and aggregated by stats().
+// batch workers contend only when they touch the same shard.  Hits,
+// misses and evictions are counted in the instance's obs::CounterSet
+// (`ppuf.response_cache.*`), which stats() reads.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -86,6 +88,13 @@ class ResponseCache {
                                        const Challenge& challenge,
                                        const circuit::Environment& env);
 
+  /// lookup() that counts only a hit.  For a caller that answers a hit
+  /// itself and hands a miss on to a path that looks the key up again,
+  /// so each request counts one hit or one miss.
+  std::optional<CachedResponse> probe(std::uint64_t device_id,
+                                      const Challenge& challenge,
+                                      const circuit::Environment& env);
+
   /// Insert or overwrite.  Eviction happens immediately if the shard's
   /// byte budget is exceeded (least recently used first).
   void insert(std::uint64_t device_id, const Challenge& challenge,
@@ -137,6 +146,12 @@ class ResponseCache {
   static std::size_t entry_cost(const Key& key);
 
   Shard& shard_for(const Key& key);
+  std::optional<CachedResponse> find(const Key& key);
+
+  /// Indices into counters_ (obs::kResponseCacheEvents).
+  enum Event : std::size_t { kHits, kMisses, kEvictions, kEventCount };
+  static_assert(std::size(obs::kResponseCacheEvents) == kEventCount);
+  obs::CounterSet counters_;
 
   std::size_t capacity_bytes_;
   std::size_t per_shard_capacity_;

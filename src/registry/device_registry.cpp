@@ -106,6 +106,10 @@ std::uint64_t fresh_wal_epoch() {
 util::Status DeviceRegistry::open(const std::string& directory,
                                   const Options& options) {
   std::lock_guard<std::mutex> lock(mutex_);
+  const PublishOnExit publish{*this};
+  // Replay rebuilds the device set from disk: anything a reader saw as
+  // active before may not be now.
+  bump_liveness_locked();
   directory_ = directory;
   options_ = options;
   open_ = false;
@@ -327,6 +331,7 @@ util::Status DeviceRegistry::enroll(const EnrollRequest& request,
   record.entry.model_bytes = std::move(model_bytes);
 
   std::lock_guard<std::mutex> lock(mutex_);
+  const PublishOnExit publish{*this};
   if (Status s = admit_locked(); !s.is_ok()) return s;
   // The id is assigned in the same lock hold as the WAL append, so WAL
   // order is id order however the fabrications interleaved.
@@ -351,6 +356,7 @@ util::Status DeviceRegistry::enroll(const EnrollRequest& request,
 
 util::Status DeviceRegistry::revoke(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
+  const PublishOnExit publish{*this};
   if (!open_) return Status::internal("registry not open");
   const auto it = entries_.find(id);
   if (it == entries_.end())
@@ -362,6 +368,7 @@ util::Status DeviceRegistry::revoke(std::uint64_t id) {
   record.entry.id = id;
   if (Status s = append_record_locked(record); !s.is_ok()) return s;
   it->second.revoked = true;
+  bump_liveness_locked();
   ++wal_records_since_snapshot_;
   counters_.add(kRevokes);
   if (options_.auto_compact_records > 0 &&
@@ -426,13 +433,9 @@ std::vector<DeviceInfo> DeviceRegistry::list() const {
   return out;
 }
 
-std::size_t DeviceRegistry::device_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 util::Status DeviceRegistry::compact() {
   std::lock_guard<std::mutex> lock(mutex_);
+  const PublishOnExit publish{*this};
   if (!open_) return Status::internal("registry not open");
   return compact_locked();
 }
@@ -507,9 +510,30 @@ DeviceRegistry::RecoveryStats DeviceRegistry::recovery_stats() const {
   return recovery_stats_;
 }
 
+void DeviceRegistry::publish_locked() {
+  device_count_.store(entries_.size(), std::memory_order_release);
+  // Seqlock write (mutex_ makes this the only writer): odd while the pair
+  // is being rewritten, so a reader never pairs one epoch with another's
+  // offset.
+  const std::uint64_t seq = wal_seq_.load(std::memory_order_relaxed);
+  wal_seq_.store(seq + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  published_wal_epoch_.store(wal_epoch_, std::memory_order_relaxed);
+  published_wal_len_.store(wal_len_, std::memory_order_relaxed);
+  wal_seq_.store(seq + 2, std::memory_order_release);
+}
+
 DeviceRegistry::WalPosition DeviceRegistry::wal_position() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return WalPosition{wal_epoch_, wal_len_};
+  for (;;) {
+    const std::uint64_t before = wal_seq_.load(std::memory_order_acquire);
+    const WalPosition pos{
+        published_wal_epoch_.load(std::memory_order_relaxed),
+        published_wal_len_.load(std::memory_order_relaxed)};
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if ((before & 1) == 0 &&
+        wal_seq_.load(std::memory_order_relaxed) == before)
+      return pos;
+  }
 }
 
 util::Status DeviceRegistry::read_wal_segment(
@@ -554,6 +578,7 @@ util::Status DeviceRegistry::export_bootstrap(
 util::Status DeviceRegistry::install_bootstrap(
     const std::vector<std::uint8_t>& image) {
   std::lock_guard<std::mutex> lock(mutex_);
+  const PublishOnExit publish{*this};
   if (!open_) return Status::internal("registry not open");
   SnapshotBody snapshot;
   if (Status s = parse_snapshot(image.data(), image.size(), &snapshot);
@@ -564,6 +589,7 @@ util::Status DeviceRegistry::install_bootstrap(
     const std::uint64_t id = e.id;
     entries_[id] = std::move(e);
   }
+  bump_liveness_locked();  // the whole device set was replaced
   next_id_ = std::max<std::uint64_t>(snapshot.next_id, 1);
   // Persist the installed state the same way compaction does (snapshot
   // write + WAL truncate), so a standby restart recovers it.
@@ -575,6 +601,7 @@ util::Status DeviceRegistry::apply_wal_bytes(const std::uint8_t* data,
                                              std::size_t* consumed) {
   *consumed = 0;
   std::lock_guard<std::mutex> lock(mutex_);
+  const PublishOnExit publish{*this};
   if (!open_) return Status::internal("registry not open");
   std::size_t offset = 0;
   while (offset < size) {
@@ -609,6 +636,7 @@ util::Status DeviceRegistry::apply_wal_bytes(const std::uint8_t* data,
               "replicated wal: revoke of unknown device " +
               std::to_string(record.entry.id));
         it->second.revoked = true;
+        bump_liveness_locked();
         break;
       }
     }

@@ -37,8 +37,18 @@
 // read.  Reads that services care about (contains / active / load_model)
 // are map lookups plus, for load_model, one model decode — the hydration
 // cache above this class amortises that.
+//
+// Three reads never take the mutex, so an event-loop thread may make
+// them: device_count() and wal_position() read values every mutation
+// publishes under the lock on its way out, and liveness_generation()
+// reads a counter bumped under the lock wherever a device can stop being
+// active (revoke, open's replay, install_bootstrap, a replicated revoke).
+// Enrolls only add ids and ids are never reused, so they do not bump it:
+// a caller that saw active(id) at generation G may keep trusting that
+// answer for as long as the generation still reads G.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -152,7 +162,16 @@ class DeviceRegistry {
                           std::vector<std::uint8_t>* model_bytes) const;
 
   std::vector<DeviceInfo> list() const;
-  std::size_t device_count() const;
+  /// Lock-free (see the class notes).
+  std::size_t device_count() const {
+    return device_count_.load(std::memory_order_acquire);
+  }
+
+  /// Lock-free; bumped wherever a device can stop being active.  Read it
+  /// BEFORE an active() check whose answer it is meant to vouch for.
+  std::uint64_t liveness_generation() const {
+    return liveness_generation_.load(std::memory_order_acquire);
+  }
 
   /// Fold snapshot + WAL into a fresh snapshot and truncate the WAL.
   util::Status compact();
@@ -174,6 +193,8 @@ class DeviceRegistry {
     std::uint64_t offset = 0;  ///< committed WAL byte length
   };
 
+  /// Lock-free (see the class notes); epoch and offset are read as one
+  /// consistent pair.
   WalPosition wal_position() const;
 
   /// Copy committed WAL bytes of `epoch` starting at `offset` (at most
@@ -216,6 +237,19 @@ class DeviceRegistry {
   util::Status append_record_locked(const WalRecord& record);
   util::Status append_raw_locked(const std::uint8_t* data, std::size_t size);
   util::Status compact_locked();
+  /// Store device_count_ and the WAL position for the lock-free readers.
+  /// Every mutating method runs it on its way out, under mutex_.
+  void publish_locked();
+  /// Declared right after a lock_guard on mutex_: publishes as the method
+  /// returns, whichever return it takes, before the lock is released.
+  struct PublishOnExit {
+    DeviceRegistry& registry;
+    ~PublishOnExit() { registry.publish_locked(); }
+  };
+  /// Liveness changed (a device may have stopped being active).
+  void bump_liveness_locked() {
+    liveness_generation_.fetch_add(1, std::memory_order_acq_rel);
+  }
   std::string wal_path() const { return directory_ + "/wal.log"; }
   std::string snapshot_path() const { return directory_ + "/snapshot.bin"; }
 
@@ -247,6 +281,14 @@ class DeviceRegistry {
   /// lazily on the first enroll; the pointer is guarded by mutex_, the
   /// cache itself is safe for concurrent fabrications.
   std::shared_ptr<circuit::SymbolicCache> enroll_symbolic_cache_;
+
+  // Published for the lock-free readers.  The WAL position is a seqlock:
+  // wal_seq_ is odd while publish_locked() is rewriting the pair.
+  std::atomic<std::size_t> device_count_{0};
+  std::atomic<std::uint64_t> wal_seq_{0};
+  std::atomic<std::uint64_t> published_wal_epoch_{0};
+  std::atomic<std::uint64_t> published_wal_len_{0};
+  std::atomic<std::uint64_t> liveness_generation_{0};
 };
 
 }  // namespace ppuf::registry

@@ -20,6 +20,20 @@ util::Status HydrationCache::get(
       reg.enabled() ? &reg.histogram("registry.hydration.load_time_us")
                     : nullptr;
 
+  // Read before the active() check below: an entry stamped with this
+  // value is vouched for until a revoke (or replay) moves it on.
+  const std::uint64_t generation = registry_.liveness_generation();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(id);
+    if (it != index_.end() && it->second->generation == generation) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      counters_.add(kHits);
+      *out = it->second->device;
+      return Status::ok();
+    }
+  }
+
   // Policy before cache: a revoked device must be refused even while its
   // materialised instance is still resident.
   if (!registry_.active(id)) {
@@ -41,8 +55,9 @@ util::Status HydrationCache::get(
     const auto it = index_.find(id);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
+      it->second->generation = generation;
       counters_.add(kHits);
-      *out = it->second->second;
+      *out = it->second->device;
       return Status::ok();
     }
     auto [inflight_it, inserted] =
@@ -91,10 +106,10 @@ util::Status HydrationCache::get(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (status.is_ok()) {
-      lru_.emplace_front(id, device);
+      lru_.push_front(Entry{id, device, generation});
       index_[id] = lru_.begin();
       while (lru_.size() > max_entries_) {
-        index_.erase(lru_.back().first);
+        index_.erase(lru_.back().id);
         lru_.pop_back();
         counters_.add(kEvictions);
       }
@@ -115,6 +130,16 @@ util::Status HydrationCache::get(
   if (!status.is_ok()) return status;
   *out = std::move(device);
   return Status::ok();
+}
+
+std::shared_ptr<const HydratedDevice> HydrationCache::peek(std::uint64_t id) {
+  const std::uint64_t generation = registry_.liveness_generation();
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(id);
+  if (it == index_.end() || it->second->generation != generation)
+    return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->device;
 }
 
 HydrationCache::Stats HydrationCache::stats() const {

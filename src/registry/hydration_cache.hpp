@@ -13,8 +13,13 @@
 //   - single-flight: concurrent requests for the same *cold* device wait
 //     on one hydration instead of decoding the same blob N times (the
 //     classic cache-stampede fix);
-//   - revocation-aware: every get() consults the registry first, so a
-//     device revoked after being cached is evicted and refused.
+//   - revocation-aware: each entry records the registry's liveness
+//     generation (DeviceRegistry::liveness_generation) at which the
+//     device was last checked active.  A hit whose generation is still
+//     current is served without the registry; any other get() takes the
+//     locked active() check first, so a device revoked after being cached
+//     is evicted and refused.  Enrolls do not move the generation, so on
+//     a registry that only grows every resident hit stays lock-free.
 //
 // A HydratedDevice is heap-allocated and never moved: backend devices
 // hold internal references (the max-flow Verifier references its model),
@@ -77,6 +82,14 @@ class HydrationCache {
   util::Status get(std::uint64_t id,
                    std::shared_ptr<const HydratedDevice>* out);
 
+  /// The resident device when its entry's generation is current, else
+  /// null.  Never loads, never waits on a single-flight slot and never
+  /// takes the registry's mutex (it reads only the atomic generation), so
+  /// an event-loop thread may call it.  A found entry moves to the LRU
+  /// front; nothing is counted, because the caller either answers without
+  /// resolving or falls back to get(), which counts.
+  std::shared_ptr<const HydratedDevice> peek(std::uint64_t id);
+
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;            ///< cold loads performed
@@ -97,19 +110,22 @@ class HydrationCache {
     std::shared_ptr<const HydratedDevice> device;
   };
 
+  struct Entry {
+    std::uint64_t id;
+    std::shared_ptr<const HydratedDevice> device;
+    /// Registry liveness generation read before the active() check that
+    /// last vouched for this device.
+    std::uint64_t generation;
+  };
+
   const DeviceRegistry& registry_;
   Options options_;
   std::size_t max_entries_;
 
   mutable std::mutex mutex_;
   /// Most recently used at the front.
-  std::list<std::pair<std::uint64_t, std::shared_ptr<const HydratedDevice>>>
-      lru_;
-  std::unordered_map<
-      std::uint64_t,
-      std::list<std::pair<std::uint64_t,
-                          std::shared_ptr<const HydratedDevice>>>::iterator>
-      index_;
+  std::list<Entry> lru_;
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Slot>> inflight_;
 
   /// Indices into counters_ (obs::kHydrationEvents).

@@ -137,7 +137,8 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
   // the reactor.  Indices into `counters` (obs::kServerEvents).
   enum Event : std::size_t {
     kRequests, kUnknownDeviceRejections, kCoalescedBatches, kCoalescedItems,
-    kSoloDispatches, kEnrollsServed, kWalFetchesServed, kEventCount
+    kSoloDispatches, kEnrollsServed, kWalFetchesServed, kLoopCacheHits,
+    kEventCount
   };
   static_assert(std::size(obs::kServerEvents) == kEventCount);
   obs::CounterSet counters;
@@ -159,15 +160,23 @@ struct AuthServer::Impl final : net::FrameServer::Handler {
   void on_loop_pass(bool draining) override;
   bool idle() const override { return pending_count == 0; }
 
+  /// The PREDICT reply for a resident device's cached response, answered
+  /// on the loop; empty when anything is not a plain hit.  Touches no
+  /// registry mutex and hydrates nothing: HydrationCache::peek, the
+  /// decode, validate_challenge and ResponseCache::probe only.
+  std::vector<std::uint8_t> answer_cached_predict(
+      const Frame& frame, const util::Deadline& deadline);
+
   /// One pool task serving `items` (all for `device_id`) via run_batch.
   void submit_batch(std::uint64_t device_id, std::vector<PendingItem> items);
   /// Flush one device's open batch to the pool.
   void flush_device_batch(std::uint64_t device_id);
 
-  /// Health snapshot carried in every PING reply (safe from any thread:
-  /// all inputs are atomics, immutable options, or the registry behind
-  /// its own mutex).  It reports the device count and WAL position, so a
-  /// gateway's health probe doubles as replication-lag telemetry.
+  /// Health snapshot carried in every PING reply (safe from any thread,
+  /// the loop's draining PING included: every input is an atomic, an
+  /// immutable option, or a registry value it publishes lock-free).  It
+  /// reports the device count and WAL position, so a gateway's health
+  /// probe doubles as replication-lag telemetry.
   net::HealthInfo health_info() const override {
     net::HealthInfo h = reactor.transport_health();
     h.requests_served = counters.value(kRequests);
@@ -248,6 +257,7 @@ AuthServer::Stats AuthServer::stats() const {
   s.solo_dispatches = c.value(Impl::kSoloDispatches);
   s.enrolls_served = c.value(Impl::kEnrollsServed);
   s.wal_fetches_served = c.value(Impl::kWalFetchesServed);
+  s.loop_cache_hits = c.value(Impl::kLoopCacheHits);
   return s;
 }
 
@@ -259,6 +269,13 @@ std::vector<std::uint8_t> AuthServer::Impl::dispatch(
 
   // Budget is re-anchored NOW, at decode: queue wait burns budget.
   const util::Deadline deadline = frame.deadline();
+  // A resident hit is answered here, ahead of coalescing: no handoff to a
+  // worker and no batch window to wait out.
+  if (frame.type == MessageType::kPredictRequest && response_cache)
+    if (std::vector<std::uint8_t> reply =
+            answer_cached_predict(frame, deadline);
+        !reply.empty())
+      return reply;
   if (frame.type != MessageType::kPredictRequest &&
       frame.type != MessageType::kVerifyRequest) {
     reactor.submit(connection_id, std::move(frame),
@@ -291,6 +308,31 @@ std::vector<std::uint8_t> AuthServer::Impl::dispatch(
   if (batch.size() >= options.coalesce_max_batch)
     flush_device_batch(device_id);
   return {};
+}
+
+std::vector<std::uint8_t> AuthServer::Impl::answer_cached_predict(
+    const Frame& frame, const util::Deadline& deadline) {
+  // Whatever is not a plain hit goes on to run_batch unchanged, which
+  // gives every failure its typed reply.
+  if (deadline.expired()) return {};
+  const std::shared_ptr<const registry::HydratedDevice> ctx =
+      hydration.peek(frame.device_id);
+  if (ctx == nullptr) return {};
+  Challenge c;
+  if (!net::decode_predict_request(frame.payload, &c).is_ok() ||
+      !ctx->device->validate_challenge(c).is_ok())
+    return {};
+  // run_batch's predict_batch keys the cache on the nominal environment.
+  const std::optional<CachedResponse> hit = response_cache->probe(
+      frame.device_id, c, circuit::Environment::nominal());
+  if (!hit) return {};
+  counters.add(kLoopCacheHits);
+  SimulationModel::Prediction p;
+  p.bit = hit->bit;
+  p.flow_a = hit->flow_a;
+  p.flow_b = hit->flow_b;
+  return net::encode_frame(MessageType::kPredictReply, frame.request_id,
+                           frame.device_id, 0, net::encode_predict_reply(p));
 }
 
 void AuthServer::Impl::submit_batch(std::uint64_t device_id,

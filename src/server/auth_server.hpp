@@ -11,8 +11,11 @@
 // net::FrameServer, the reactor it shares with the fleet gateway.
 //   - ONE event-loop thread owns every socket: epoll-driven non-blocking
 //     accept/read/write, frame extraction, admission control, and error
-//     replies.  It never solves anything; the server adds only device
-//     batching (coalescing) on that thread.
+//     replies.  It never solves anything and never takes the registry's
+//     mutex; the server adds device batching (coalescing) on that thread,
+//     and with a response cache it answers a PREDICT whose device is
+//     resident (HydrationCache::peek) and whose response is cached
+//     without handing it to a worker.
 //   - The reactor's util::ThreadPool executes request bodies (max-flow
 //     solves, residual-graph verification).  Workers never touch sockets;
 //     they hand finished reply bytes back through a completion queue and
@@ -138,7 +141,7 @@ class AuthServer {
 
   struct Stats {
     std::uint64_t connections_accepted = 0;
-    std::uint64_t requests = 0;            ///< dispatched to the pool
+    std::uint64_t requests = 0;            ///< admitted (loop or pool)
     std::uint64_t overloaded_rejections = 0;
     std::uint64_t shutdown_rejections = 0;
     std::uint64_t malformed_frames = 0;
@@ -149,6 +152,7 @@ class AuthServer {
     std::uint64_t slow_peer_disconnects = 0;  ///< backlog bound enforced
     std::uint64_t enrolls_served = 0;      ///< network enrollments committed
     std::uint64_t wal_fetches_served = 0;  ///< standby segment/bootstrap pulls
+    std::uint64_t loop_cache_hits = 0;  ///< PREDICTs answered on the loop
   };
   Stats stats() const;
 

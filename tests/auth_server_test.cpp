@@ -29,9 +29,12 @@
 #include "server/auth_server.hpp"
 #include "testing/fault_injection.hpp"
 #include "util/status.hpp"
+#include "test_dirs.hpp"
 
 namespace ppuf {
 namespace {
+
+using test::fresh_dir;
 
 using net::AuthClient;
 using net::Frame;
@@ -72,14 +75,6 @@ AuthServerOptions default_options() {
   return o;
 }
 
-/// Fresh registry directory under the test temp dir.
-std::string fresh_registry_dir(const char* name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
 /// Enroll a small device and return its id.  The enrollment seed fully
 /// determines the fabricated instance, so tests can build the matching
 /// "chip" locally as MaxFlowPpuf(params, seed).
@@ -105,7 +100,7 @@ AuthClient client_for_device(std::uint16_t port, std::uint64_t device_id) {
 /// device (small_params(), kSeed — the silicon shared_puf() holds, whose
 /// published model is shared_model()).  Returns its device id.
 std::uint64_t enroll_shared(registry::DeviceRegistry& reg, const char* name) {
-  EXPECT_TRUE(reg.open(fresh_registry_dir(name)).is_ok());
+  EXPECT_TRUE(reg.open(fresh_dir(name)).is_ok());
   return enroll_small(reg, kSeed, "shared");
 }
 
@@ -671,7 +666,7 @@ Status chained_auth_as(std::uint16_t port, std::uint64_t device_id,
 TEST(AuthServerRegistry, ServesEnrolledDevicesAndRejectsCrossDeviceProofs) {
   registry::DeviceRegistry reg;
   ASSERT_TRUE(
-      reg.open(fresh_registry_dir("authsrv_multi")).is_ok());
+      reg.open(fresh_dir("authsrv_multi")).is_ok());
   const std::uint64_t seeds[3] = {101, 102, 103};
   std::uint64_t ids[3];
   for (int i = 0; i < 3; ++i)
@@ -714,7 +709,7 @@ TEST(AuthServerRegistry, ServesEnrolledDevicesAndRejectsCrossDeviceProofs) {
 TEST(AuthServerRegistry, UnknownRevokedAndZeroIdsGetTypedNotFound) {
   registry::DeviceRegistry reg;
   ASSERT_TRUE(
-      reg.open(fresh_registry_dir("authsrv_unknown")).is_ok());
+      reg.open(fresh_dir("authsrv_unknown")).is_ok());
   const std::uint64_t id = enroll_small(reg, 55, "victim");
 
   AuthServer srv(reg, default_options());
@@ -744,7 +739,7 @@ TEST(AuthServerRegistry, RegistryPersistsAcrossServerRestart) {
   // server (the chained protocol's flow tolerance is approximate, so
   // accept/reject is deterministic per (device seed, challenge) pair).
   constexpr std::uint64_t kDeviceSeed = 101;
-  const std::string dir = fresh_registry_dir("authsrv_restart");
+  const std::string dir = fresh_dir("authsrv_restart");
   std::uint64_t id = 0;
   {
     registry::DeviceRegistry reg;
@@ -812,7 +807,7 @@ Status chained_auth_as_pdl(std::uint16_t port, std::uint64_t device_id,
 
 TEST(AuthServerMixedFleet, InterleavedBackendsAuthenticatePerDevice) {
   registry::DeviceRegistry reg;
-  ASSERT_TRUE(reg.open(fresh_registry_dir("authsrv_mixed")).is_ok());
+  ASSERT_TRUE(reg.open(fresh_dir("authsrv_mixed")).is_ok());
   // Interleave enrollment order so ids alternate between the families.
   const std::uint64_t mf_seeds[2] = {201, 202};
   const std::uint64_t pdl_seeds[2] = {301, 302};
@@ -873,7 +868,7 @@ TEST(AuthServerMixedFleet, InterleavedBackendsAuthenticatePerDevice) {
 
 TEST(AuthServerMixedFleet, WireEnrollTagsBackendAndRejectsUnknownTag) {
   registry::DeviceRegistry reg;
-  ASSERT_TRUE(reg.open(fresh_registry_dir("authsrv_mixed_enroll")).is_ok());
+  ASSERT_TRUE(reg.open(fresh_dir("authsrv_mixed_enroll")).is_ok());
   AuthServer srv(reg, default_options());
   ASSERT_TRUE(srv.start().is_ok());
 

@@ -27,9 +27,12 @@
 #include "server/auth_server.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
+#include "test_dirs.hpp"
 
 namespace ppuf {
 namespace {
+
+using test::fresh_dir;
 
 namespace fs = std::filesystem;
 using backend::BackendKind;
@@ -37,12 +40,6 @@ using protocol::codec::Reader;
 using protocol::codec::Writer;
 using util::Status;
 using util::StatusCode;
-
-std::string fresh_dir(const char* name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  return dir.string();
-}
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

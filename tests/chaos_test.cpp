@@ -30,9 +30,12 @@
 #include "testing/fault_injection.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
+#include "test_dirs.hpp"
 
 namespace ppuf {
 namespace {
+
+using test::fresh_dir;
 
 namespace fs = std::filesystem;
 using testing::chaos::CampaignOptions;
@@ -43,12 +46,6 @@ using testing::chaos::TortureOptions;
 using testing::chaos::TortureResult;
 using util::Status;
 using util::StatusCode;
-
-std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("ppuf_chaos_" + name);
-  fs::remove_all(dir);
-  return dir.string();
-}
 
 // ---------------------------------------------------------------------------
 // Kill-9 crash-recovery torture (first: it forks).

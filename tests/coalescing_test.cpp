@@ -57,9 +57,12 @@
 #include "util/fault_hooks.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
+#include "test_dirs.hpp"
 
 namespace ppuf {
 namespace {
+
+using test::fresh_dir;
 
 using net::AuthClient;
 using net::Frame;
@@ -120,13 +123,6 @@ WireCode error_code_of(const Frame& reply) {
   return err.code;
 }
 
-std::string fresh_registry_dir(const char* name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
 std::uint64_t enroll_small(registry::DeviceRegistry& reg, std::uint64_t seed,
                            const std::string& label) {
   registry::EnrollRequest req;
@@ -143,7 +139,7 @@ std::uint64_t enroll_small(registry::DeviceRegistry& reg, std::uint64_t seed,
 /// device (small_params(), kSeed — the silicon shared_puf() holds, whose
 /// published model is shared_model()).  Returns its device id.
 std::uint64_t enroll_shared(registry::DeviceRegistry& reg, const char* name) {
-  EXPECT_TRUE(reg.open(fresh_registry_dir(name)).is_ok());
+  EXPECT_TRUE(reg.open(fresh_dir(name)).is_ok());
   return enroll_small(reg, kSeed, "shared");
 }
 
@@ -172,7 +168,7 @@ void warm_device(std::uint16_t port, std::uint64_t device_id) {
 
 TEST(Coalescing, DifferentialMatchesPerFrameServing) {
   registry::DeviceRegistry reg;
-  ASSERT_TRUE(reg.open(fresh_registry_dir("coalesce_diff")).is_ok());
+  ASSERT_TRUE(reg.open(fresh_dir("coalesce_diff")).is_ok());
   constexpr int kDevices = 3;
   const std::uint64_t seeds[kDevices] = {101, 102, 103};
   std::uint64_t ids[kDevices];
@@ -347,6 +343,99 @@ TEST(Coalescing, ResponseCacheServesCoalesceOffServer) {
   EXPECT_EQ(st.coalesced_batches, 0u);
   EXPECT_EQ(st.coalesced_items, 0u);
   EXPECT_EQ(st.solo_dispatches, 0u);
+  srv.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Loop-answered hits: a PREDICT whose device is resident and whose response
+// is cached is answered on the event loop, ahead of coalescing.
+
+Frame predict_round_trip(const net::Socket& sock, std::uint64_t request_id,
+                         std::uint64_t device_id, const Challenge& c) {
+  const util::Deadline io = util::Deadline::after_seconds(10.0);
+  const std::vector<std::uint8_t> f =
+      net::encode_frame(MessageType::kPredictRequest, request_id, device_id,
+                        0, net::encode_predict_request(c));
+  EXPECT_TRUE(net::send_all(sock.fd(), f.data(), f.size(), io).is_ok());
+  Frame reply;
+  EXPECT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
+  return reply;
+}
+
+std::vector<std::uint8_t> wire_bytes(const Frame& f) {
+  return net::encode_frame(f.type, f.request_id, f.device_id, f.budget_ms,
+                           f.payload);
+}
+
+TEST(Coalescing, LoopAnsweredHitIsByteIdenticalToTheWorkerReply) {
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "loop_hit_bytes");
+  const std::uint64_t other = enroll_small(reg, kSeed + 1, "other");
+  AuthServer srv(reg, coalescing_options());
+  ASSERT_TRUE(srv.start().is_ok());
+  net::Socket sock;
+  ASSERT_TRUE(net::connect_tcp("127.0.0.1", srv.port(), 2000, &sock).is_ok());
+  util::Rng rng(46);
+  const Challenge c = random_challenge(shared_model().layout(), rng);
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  metrics.set_enabled(true);
+  metrics.reset();
+  const auto cache_count = [&](const char* event) {
+    return metrics.counter_value(std::string("ppuf.response_cache.") + event);
+  };
+  // 1. Cold: the worker solves and fills the cache (one miss).
+  const Frame solved = predict_round_trip(sock, 77, device_id, c);
+  ASSERT_EQ(solved.type, MessageType::kPredictReply);
+  EXPECT_EQ(srv.stats().loop_cache_hits, 0u);
+  // 2. Warm: answered on the loop (one hit).
+  const Frame on_loop = predict_round_trip(sock, 77, device_id, c);
+  EXPECT_EQ(srv.stats().loop_cache_hits, 1u);
+  // 3. A revoke elsewhere makes the resident entry stale for the loop, so
+  //    this one is a hit on the worker's predict_batch path.
+  ASSERT_TRUE(reg.revoke(other).is_ok());
+  const Frame on_worker = predict_round_trip(sock, 77, device_id, c);
+  EXPECT_EQ(srv.stats().loop_cache_hits, 1u);
+  // 4. The worker's resolve re-stamped the entry: back on the loop.
+  const Frame again = predict_round_trip(sock, 77, device_id, c);
+  EXPECT_EQ(srv.stats().loop_cache_hits, 2u);
+  EXPECT_EQ(cache_count("misses"), 1u);
+  EXPECT_EQ(cache_count("hits"), 3u);
+  // 5. A cold challenge on a resident device: the loop's probe misses and
+  //    the worker's lookup misses too, counted once.
+  const Challenge cold = random_challenge(shared_model().layout(), rng);
+  ASSERT_EQ(predict_round_trip(sock, 78, device_id, cold).type,
+            MessageType::kPredictReply);
+  EXPECT_EQ(cache_count("misses"), 2u);
+  EXPECT_EQ(cache_count("hits"), 3u);
+  EXPECT_EQ(metrics.counter_value("server.loop_cache_hits"), 2u);
+  metrics.set_enabled(false);
+
+  EXPECT_EQ(wire_bytes(on_loop), wire_bytes(solved));
+  EXPECT_EQ(wire_bytes(on_loop), wire_bytes(on_worker));
+  EXPECT_EQ(wire_bytes(again), wire_bytes(on_worker));
+  srv.stop();
+}
+
+TEST(Coalescing, RevokedDeviceIsRefusedDespiteResidentCachedResponses) {
+  registry::DeviceRegistry reg;
+  const std::uint64_t device_id = enroll_shared(reg, "loop_hit_revoked");
+  AuthServer srv(reg, coalescing_options());
+  ASSERT_TRUE(srv.start().is_ok());
+  net::Socket sock;
+  ASSERT_TRUE(net::connect_tcp("127.0.0.1", srv.port(), 2000, &sock).is_ok());
+  util::Rng rng(47);
+  const Challenge c = random_challenge(shared_model().layout(), rng);
+  for (std::uint64_t rid = 1; rid <= 2; ++rid)
+    ASSERT_EQ(predict_round_trip(sock, rid, device_id, c).type,
+              MessageType::kPredictReply);
+  ASSERT_EQ(srv.stats().loop_cache_hits, 1u);  // warm on the loop
+
+  ASSERT_TRUE(reg.revoke(device_id).is_ok());
+  for (std::uint64_t rid = 3; rid <= 4; ++rid)
+    EXPECT_EQ(error_code_of(predict_round_trip(sock, rid, device_id, c)),
+              WireCode::kUnknownDevice);
+  EXPECT_EQ(srv.stats().loop_cache_hits, 1u);
   srv.stop();
 }
 

@@ -8,9 +8,11 @@
 // requests are issued sequentially, so every verifier verdict in this
 // file is deterministic — a green run stays green.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -31,6 +33,7 @@
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "ppuf/ppuf.hpp"
+#include "ppuf/response_cache.hpp"
 #include "protocol/authentication.hpp"
 #include "registry/device_registry.hpp"
 #include "registry/hydration_cache.hpp"
@@ -38,9 +41,12 @@
 #include "testing/fault_injection.hpp"
 #include "util/fault_hooks.hpp"
 #include "util/status.hpp"
+#include "test_dirs.hpp"
 
 namespace ppuf {
 namespace {
+
+using test::fresh_dir;
 
 namespace fs = std::filesystem;
 using fleet::Gateway;
@@ -61,12 +67,6 @@ constexpr double kChipDelay = 1e-6;
 constexpr std::uint32_t kNodes = 16;
 constexpr std::uint32_t kGrid = 4;
 constexpr std::uint64_t kDeviceSeedBase = 9000;
-
-std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("ppuf_fleet_" + name);
-  fs::remove_all(dir);
-  return dir.string();
-}
 
 AuthServerOptions shard_options(std::uint64_t challenge_seed) {
   AuthServerOptions o;
@@ -556,6 +556,328 @@ TEST(FleetGateway, SlowPeerIsDisconnectedAtBacklogBound) {
   gateway.stop();
 }
 
+// --- Gateway forwarding ----------------------------------------------------
+//
+// What forwarding must never do: cross replies between clients, deliver a
+// reply after its forward gave up, leave forwards hanging on a dead
+// shard, or stall the event loop on a connect.
+
+/// A scripted shard: PING is answered at once, any other request gets a
+/// PREDICT reply (echoing its request id) after `reply_delay_ms`.
+/// kill() closes the listener and every connection, as a crash would.
+class FakeShard {
+ public:
+  explicit FakeShard(int reply_delay_ms) : delay_ms_(reply_delay_ms) {
+    EXPECT_TRUE(net::listen_tcp(0, 16, &listener_, &port_).is_ok());
+    acceptor_ = std::thread([this] { accept_loop(); });
+  }
+  ~FakeShard() { kill(); }
+
+  std::uint16_t port() const { return port_; }
+  int requests_seen() const { return requests_seen_.load(); }
+
+  void kill() {
+    if (stopped_.exchange(true)) return;
+    acceptor_.join();
+    for (std::thread& t : connections_) t.join();
+  }
+
+ private:
+  void accept_loop() {
+    while (!stopped_.load()) {
+      const int fd = ::accept(listener_.fd(), nullptr, nullptr);
+      if (fd < 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        continue;
+      }
+      connections_.emplace_back([this, fd] { serve(fd); });
+    }
+    listener_.close();
+  }
+
+  void serve(int fd) {
+    while (!stopped_.load()) {
+      pollfd pfd{fd, POLLIN, 0};
+      if (::poll(&pfd, 1, 10) <= 0) continue;
+      net::Frame request;
+      if (!net::read_frame(fd, &request, util::Deadline::after_seconds(2.0))
+               .is_ok())
+        break;
+      std::vector<std::uint8_t> reply;
+      if (request.type == net::MessageType::kPingRequest) {
+        reply = net::encode_frame(net::MessageType::kPingReply,
+                                  request.request_id, request.device_id, 0,
+                                  net::encode_ping_reply(net::HealthInfo{}));
+      } else {
+        requests_seen_.fetch_add(1);
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(delay_ms_);
+        while (!stopped_.load() && std::chrono::steady_clock::now() < until)
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        if (stopped_.load()) break;
+        SimulationModel::Prediction p;
+        p.bit = 1;
+        reply = net::encode_frame(net::MessageType::kPredictReply,
+                                  request.request_id, request.device_id, 0,
+                                  net::encode_predict_reply(p));
+      }
+      if (!net::send_all(fd, reply.data(), reply.size(),
+                         util::Deadline::after_seconds(2.0))
+               .is_ok())
+        break;
+    }
+    ::close(fd);
+  }
+
+  const int delay_ms_;
+  net::Socket listener_;
+  std::uint16_t port_ = 0;
+  std::atomic<bool> stopped_{false};
+  std::atomic<int> requests_seen_{0};
+  std::thread acceptor_;
+  std::vector<std::thread> connections_;  ///< acceptor thread, then kill()
+};
+
+std::vector<std::uint8_t> predict_frame(std::uint64_t request_id,
+                                        std::uint64_t device_id,
+                                        const Challenge& c,
+                                        std::uint32_t budget_ms = 0) {
+  return net::encode_frame(net::MessageType::kPredictRequest, request_id,
+                           device_id, budget_ms,
+                           net::encode_predict_request(c));
+}
+
+std::vector<std::uint8_t> ping_frame(std::uint64_t request_id) {
+  return net::encode_frame(net::MessageType::kPingRequest, request_id, 0, 0,
+                           net::encode_ping_request(0));
+}
+
+void send_bytes(const net::Socket& sock, const std::vector<std::uint8_t>& b) {
+  ASSERT_TRUE(net::send_all(sock.fd(), b.data(), b.size(),
+                            util::Deadline::after_seconds(5.0))
+                  .is_ok());
+}
+
+net::Frame read_reply(const net::Socket& sock, double seconds = 10.0) {
+  net::Frame reply;
+  EXPECT_TRUE(
+      net::read_frame(sock.fd(), &reply, util::Deadline::after_seconds(seconds))
+          .is_ok());
+  return reply;
+}
+
+TEST(FleetGateway, ClientsPipeliningTheSameRequestIdsGetTheirOwnReplies) {
+  Shard shard;
+  ASSERT_TRUE(shard.open_and_start("same_ids", 41).is_ok());
+  GatewayOptions go;
+  go.health_interval_ms = 25;
+  Gateway gateway(go);
+  ASSERT_TRUE(gateway.add_shard("s", "127.0.0.1", shard.server->port()).is_ok());
+  ASSERT_TRUE(gateway.start().is_ok());
+  AuthClient admin_client("127.0.0.1", gateway.port());
+  wait_all_shards_up(admin_client, 1);
+  for (const std::uint64_t id : {1, 2}) {
+    std::uint64_t assigned = 0;
+    AuthClient c("127.0.0.1", gateway.port(), client_options_for(id));
+    ASSERT_TRUE(c.enroll_device(enroll_spec(id), id, &assigned).is_ok());
+  }
+
+  // Two connections, each pipelining request ids 1..8 for its own
+  // device, all sharing the gateway's one upstream to the shard.
+  constexpr std::uint64_t kFrames = 8;
+  util::Rng rng(5);
+  const CrossbarLayout layout(kNodes, kGrid);
+  std::map<std::pair<std::uint64_t, std::uint64_t>, Challenge> sent;
+  net::Socket conns[2];
+  for (std::uint64_t device = 1; device <= 2; ++device) {
+    ASSERT_TRUE(net::connect_tcp("127.0.0.1", gateway.port(), 2000,
+                                 &conns[device - 1])
+                    .is_ok());
+    std::vector<std::uint8_t> burst;
+    for (std::uint64_t rid = 1; rid <= kFrames; ++rid) {
+      const Challenge c = random_challenge(layout, rng);
+      sent[{device, rid}] = c;
+      const std::vector<std::uint8_t> f = predict_frame(rid, device, c);
+      burst.insert(burst.end(), f.begin(), f.end());
+    }
+    send_bytes(conns[device - 1], burst);
+  }
+
+  // Each reply matches what the shard itself answers for that device and
+  // challenge, under the client's own request id.
+  net::Socket direct;
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", shard.server->port(), 2000, &direct)
+          .is_ok());
+  for (std::uint64_t device = 1; device <= 2; ++device) {
+    std::set<std::uint64_t> seen;
+    for (std::uint64_t n = 0; n < kFrames; ++n) {
+      const net::Frame got = read_reply(conns[device - 1]);
+      ASSERT_EQ(got.type, net::MessageType::kPredictReply);
+      EXPECT_EQ(got.device_id, device);
+      ASSERT_TRUE(seen.insert(got.request_id).second) << "duplicate reply";
+      const auto it = sent.find({device, got.request_id});
+      ASSERT_NE(it, sent.end()) << "reply id " << got.request_id;
+      send_bytes(direct, predict_frame(99, device, it->second));
+      const net::Frame want = read_reply(direct);
+      EXPECT_EQ(got.payload, want.payload)
+          << "device " << device << " request " << got.request_id;
+    }
+  }
+  gateway.stop();
+  EXPECT_EQ(gateway.stats().dropped_inflight, 0u);
+  shard.server->stop();
+}
+
+TEST(FleetGateway, ShardReplyAfterTheForwardDeadlineIsNeverDelivered) {
+  FakeShard fake(/*reply_delay_ms=*/300);
+  GatewayOptions go;
+  go.health_interval_ms = 25;
+  Gateway gateway(go);
+  ASSERT_TRUE(gateway.add_shard("s", "127.0.0.1", fake.port()).is_ok());
+  ASSERT_TRUE(gateway.start().is_ok());
+  AuthClient admin_client("127.0.0.1", gateway.port());
+  wait_all_shards_up(admin_client, 1);
+
+  net::Socket client, bystander;
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", gateway.port(), 2000, &client).is_ok());
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", gateway.port(), 2000, &bystander).is_ok());
+  util::Rng rng(6);
+  const Challenge c = random_challenge(CrossbarLayout(kNodes, kGrid), rng);
+  const auto sent_at = std::chrono::steady_clock::now();
+  send_bytes(client, predict_frame(5, 1, c, /*budget_ms=*/100));
+  const net::Frame expired = read_reply(client);
+  EXPECT_LT(std::chrono::steady_clock::now() - sent_at,
+            std::chrono::milliseconds(300));
+  EXPECT_EQ(expired.request_id, 5u);
+  EXPECT_EQ(error_of(expired).code, net::WireCode::kDeadlineExceeded);
+
+  // The shard's reply lands meanwhile; neither connection may see it.
+  while (fake.requests_seen() == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  send_bytes(client, ping_frame(6));
+  send_bytes(bystander, ping_frame(1));
+  const net::Frame next = read_reply(client);
+  EXPECT_EQ(next.type, net::MessageType::kPingReply);
+  EXPECT_EQ(next.request_id, 6u);
+  const net::Frame other = read_reply(bystander);
+  EXPECT_EQ(other.type, net::MessageType::kPingReply);
+  EXPECT_EQ(other.request_id, 1u);
+  gateway.stop();
+  EXPECT_EQ(gateway.stats().forwarded, 0u);
+}
+
+TEST(FleetGateway, KilledShardFailsPendingForwardsAndRepointingServesAgain) {
+  FakeShard fake(/*reply_delay_ms=*/10000);
+  Shard real;
+  ASSERT_TRUE(real.open_and_start("repoint_real", 42).is_ok());
+  GatewayOptions go;
+  go.health_interval_ms = 25;
+  Gateway gateway(go);
+  ASSERT_TRUE(gateway.add_shard("s", "127.0.0.1", fake.port()).is_ok());
+  ASSERT_TRUE(gateway.start().is_ok());
+  AuthClient admin_client("127.0.0.1", gateway.port());
+  wait_all_shards_up(admin_client, 1);
+
+  net::Socket client;
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", gateway.port(), 2000, &client).is_ok());
+  util::Rng rng(7);
+  const Challenge c = random_challenge(CrossbarLayout(kNodes, kGrid), rng);
+  std::vector<std::uint8_t> two = predict_frame(1, 1, c);
+  const std::vector<std::uint8_t> second = predict_frame(2, 1, c);
+  two.insert(two.end(), second.begin(), second.end());
+  send_bytes(client, two);
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  // The fake shard serves each connection in order, so it may hold the
+  // second request behind the first; both are pending at the gateway.
+  while (fake.requests_seen() < 1 && std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_GE(fake.requests_seen(), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // Drain the shard, then crash it with both forwards pending: each is
+  // answered SHARD_UNAVAILABLE at once, and counted as dropped in flight.
+  net::AdminRequestBody drain;
+  drain.op = net::AdminOp::kDrainShard;
+  drain.shard = "s";
+  net::AdminReplyBody reply;
+  ASSERT_TRUE(admin_client.admin(drain, &reply).is_ok());
+  const auto killed_at = std::chrono::steady_clock::now();
+  fake.kill();
+  std::set<std::uint64_t> failed;
+  for (int i = 0; i < 2; ++i) {
+    const net::Frame f = read_reply(client);
+    EXPECT_EQ(error_of(f).code, net::WireCode::kShardUnavailable);
+    failed.insert(f.request_id);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - killed_at,
+            std::chrono::seconds(2));
+  EXPECT_EQ(failed, (std::set<std::uint64_t>{1, 2}));
+  EXPECT_EQ(gateway.stats().dropped_inflight, 2u);
+
+  // Re-point the name at a live shard: the gateway serves again.
+  net::AdminRequestBody add;
+  add.op = net::AdminOp::kAddShard;
+  add.shard = "s";
+  add.host = "127.0.0.1";
+  add.port = real.server->port();
+  ASSERT_TRUE(admin_client.admin(add, &reply).is_ok());
+  ASSERT_EQ(reply.ok, 1) << reply.message;
+  AuthClient via_gateway("127.0.0.1", gateway.port(), client_options_for(1));
+  std::uint64_t assigned = 0;
+  ASSERT_TRUE(via_gateway.enroll_device(enroll_spec(1), 1, &assigned).is_ok());
+  SimulationModel::Prediction p;
+  EXPECT_TRUE(via_gateway.predict(c, &p).is_ok());
+  gateway.stop();
+  real.server->stop();
+}
+
+TEST(FleetGateway, BlackHoledShardConnectDoesNotStallPing) {
+  // A listener whose accept queue is full drops further SYNs, so a
+  // connect to it stays in progress: a black hole on loopback.
+  net::Socket black_hole, filler;
+  std::uint16_t port = 0;
+  ASSERT_TRUE(net::listen_tcp(0, /*backlog=*/0, &black_hole, &port).is_ok());
+  ASSERT_TRUE(net::connect_tcp("127.0.0.1", port, 2000, &filler).is_ok());
+
+  GatewayOptions go;
+  go.shard_connect_timeout_ms = 1000;
+  go.health_interval_ms = 60000;  // the shard stays "up" for the test
+  Gateway gateway(go);
+  ASSERT_TRUE(gateway.add_shard("s", "127.0.0.1", port).is_ok());
+  ASSERT_TRUE(gateway.start().is_ok());
+
+  net::Socket client;
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", gateway.port(), 2000, &client).is_ok());
+  util::Rng rng(8);
+  const Challenge c = random_challenge(CrossbarLayout(kNodes, kGrid), rng);
+  const auto sent_at = std::chrono::steady_clock::now();
+  std::vector<std::uint8_t> frames = predict_frame(1, 1, c);
+  const std::vector<std::uint8_t> ping = ping_frame(2);
+  frames.insert(frames.end(), ping.begin(), ping.end());
+  send_bytes(client, frames);
+
+  // The PING behind the stuck forward is answered at once...
+  const net::Frame pong = read_reply(client);
+  EXPECT_EQ(pong.type, net::MessageType::kPingReply);
+  EXPECT_EQ(pong.request_id, 2u);
+  EXPECT_LT(std::chrono::steady_clock::now() - sent_at,
+            std::chrono::milliseconds(500));
+  // ...and the forward fails typed once the connect times out.
+  const net::Frame failed = read_reply(client);
+  EXPECT_EQ(failed.request_id, 1u);
+  EXPECT_EQ(failed.type, net::MessageType::kErrorReply);
+  const auto waited = std::chrono::steady_clock::now() - sent_at;
+  EXPECT_GE(waited, std::chrono::milliseconds(900));
+  EXPECT_LT(waited, std::chrono::seconds(5));
+  gateway.stop();
+}
+
 // --- WAL-shipping standby --------------------------------------------------
 
 TEST(WalStandby, ReplicatesPromotesWithZeroAckedLoss) {
@@ -814,6 +1136,7 @@ TEST(ObsMetrics, InstanceStatsAndGlobalCountersAgree) {
   using GStats = Gateway::Stats;
   using WStats = WalStandby::Stats;
   using RStats = registry::DeviceRegistry::Stats;
+  using CStats = ResponseCacheStats;
   const std::vector<StatsField<RStats>> registry_fields = {
       {"enrolls", &RStats::enrolls},
       {"revokes", &RStats::revokes},
@@ -835,7 +1158,8 @@ TEST(ObsMetrics, InstanceStatsAndGlobalCountersAgree) {
       {"solo_dispatches", &SStats::solo_dispatches},
       {"slow_peer_disconnects", &SStats::slow_peer_disconnects},
       {"enrolls_served", &SStats::enrolls_served},
-      {"wal_fetches_served", &SStats::wal_fetches_served}};
+      {"wal_fetches_served", &SStats::wal_fetches_served},
+      {"loop_cache_hits", &SStats::loop_cache_hits}};
   const std::vector<StatsField<GStats>> gateway_fields = {
       {"connections_accepted", &GStats::connections_accepted},
       {"requests", &GStats::requests},
@@ -850,6 +1174,10 @@ TEST(ObsMetrics, InstanceStatsAndGlobalCountersAgree) {
       {"health_probes", &GStats::health_probes},
       {"dropped_inflight", &GStats::dropped_inflight},
       {"slow_peer_disconnects", &GStats::slow_peer_disconnects}};
+  const std::vector<StatsField<CStats>> response_cache_fields = {
+      {"hits", &CStats::hits},
+      {"misses", &CStats::misses},
+      {"evictions", &CStats::evictions}};
   const std::vector<StatsField<WStats>> standby_fields = {
       {"fetches", &WStats::fetches},
       {"bootstraps", &WStats::bootstraps},
@@ -873,6 +1201,9 @@ TEST(ObsMetrics, InstanceStatsAndGlobalCountersAgree) {
     EXPECT_TRUE(reg.has_metric(std::string("gateway.") + name)) << name;
   for (const auto& [name, field] : standby_fields)
     EXPECT_TRUE(reg.has_metric(std::string("standby.") + name)) << name;
+  for (const auto& [name, field] : response_cache_fields)
+    EXPECT_TRUE(reg.has_metric(std::string("ppuf.response_cache.") + name))
+        << name;
 
   // Two device registries with different traffic, before any other
   // registry of this test exists.
@@ -933,6 +1264,35 @@ TEST(ObsMetrics, InstanceStatsAndGlobalCountersAgree) {
     EXPECT_EQ(h2.misses, 1u);
     EXPECT_EQ(h2.evictions, 0u);
     expect_global_sums("registry.hydration", hydration_fields, {h1, h2});
+  }
+
+  // Two response caches, before any server runs.  A probe that misses
+  // counts nothing: its caller looks the key up again.
+  {
+    const circuit::Environment env = circuit::Environment::nominal();
+    const CrossbarLayout layout(kNodes, kGrid);
+    util::Rng rng(9);
+    const Challenge x = random_challenge(layout, rng);
+    const Challenge y = random_challenge(layout, rng);
+    ResponseCache one(1 << 20);
+    ResponseCache two(/*capacity_bytes=*/1, /*shard_count=*/1);
+    EXPECT_FALSE(one.lookup(1, x, env).has_value());  // miss
+    one.insert(1, x, env, {1, 1.0, 0.0});
+    EXPECT_TRUE(one.lookup(1, x, env).has_value());   // hit
+    EXPECT_TRUE(one.probe(1, x, env).has_value());    // hit
+    EXPECT_FALSE(one.probe(1, y, env).has_value());   // uncounted
+    two.insert(2, x, env, {0, 1.0, 2.0});
+    two.insert(2, y, env, {0, 1.0, 2.0});  // over budget: evicts x
+    EXPECT_FALSE(two.lookup(2, x, env).has_value());  // miss
+    const CStats c1 = one.stats(), c2 = two.stats();
+    EXPECT_EQ(c1.hits, 2u);
+    EXPECT_EQ(c1.misses, 1u);
+    EXPECT_EQ(c1.evictions, 0u);
+    EXPECT_EQ(c2.hits, 0u);
+    EXPECT_EQ(c2.misses, 1u);
+    EXPECT_EQ(c2.evictions, 1u);
+    expect_global_sums("ppuf.response_cache", response_cache_fields,
+                       {c1, c2});
   }
 
   Shard a, b;

@@ -28,9 +28,12 @@
 #include "testing/fault_injection.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
+#include "test_dirs.hpp"
 
 namespace ppuf {
 namespace {
+
+using test::fresh_dir;
 
 namespace fs = std::filesystem;
 using registry::DeviceRegistry;
@@ -38,14 +41,6 @@ using registry::EnrollRequest;
 using registry::HydrationCache;
 using util::Status;
 using util::StatusCode;
-
-/// Fresh directory under the test temp root, unique per test.
-std::string fresh_dir(const std::string& name) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / ("ppuf_registry_" + name);
-  fs::remove_all(dir);
-  return dir.string();
-}
 
 /// Small, fast geometry for enrollment-heavy tests.
 EnrollRequest small_request(std::uint64_t seed,
@@ -704,6 +699,160 @@ TEST(HydrationCache, SingleFlightLoadsOnceUnderConcurrency) {
   EXPECT_EQ(s.hits + s.single_flight_waits,
             static_cast<std::uint64_t>(kThreads) - 1);
   EXPECT_EQ(s.entries, 1u);
+}
+
+
+// --- liveness generation ----------------------------------------------------
+
+TEST(DeviceRegistry, LivenessGenerationMovesOnlyWhenADeviceCanStopBeingActive) {
+  DeviceRegistry primary;
+  ASSERT_TRUE(primary.open(fresh_dir("liveness_primary")).is_ok());
+  std::uint64_t g = primary.liveness_generation();
+  std::uint64_t a = 0, b = 0;
+  ASSERT_TRUE(primary.enroll(small_request(90), &a).is_ok());
+  ASSERT_TRUE(primary.enroll(small_request(91), &b).is_ok());
+  EXPECT_EQ(primary.liveness_generation(), g) << "enroll bumped";
+  ASSERT_TRUE(primary.compact().is_ok());
+  EXPECT_EQ(primary.liveness_generation(), g) << "compaction bumped";
+
+  ASSERT_TRUE(primary.revoke(a).is_ok());
+  EXPECT_GT(primary.liveness_generation(), g) << "revoke did not bump";
+  g = primary.liveness_generation();
+  ASSERT_TRUE(primary.revoke(a).is_ok());  // idempotent: nothing changed
+  EXPECT_EQ(primary.liveness_generation(), g);
+
+  // A standby: install_bootstrap replaces the device set, a replicated
+  // revoke record retires a device, a replicated enroll does neither.
+  std::vector<std::uint8_t> image;
+  DeviceRegistry::WalPosition pos;
+  ASSERT_TRUE(primary.export_bootstrap(&image, &pos).is_ok());
+  DeviceRegistry standby;
+  ASSERT_TRUE(standby.open(fresh_dir("liveness_standby")).is_ok());
+  std::uint64_t sg = standby.liveness_generation();
+  ASSERT_TRUE(standby.install_bootstrap(image).is_ok());
+  EXPECT_GT(standby.liveness_generation(), sg) << "bootstrap did not bump";
+  EXPECT_EQ(standby.device_count(), 2u);
+
+  const auto ship = [&] {
+    std::vector<std::uint8_t> segment;
+    bool stale = true;
+    ASSERT_TRUE(primary
+                    .read_wal_segment(pos.epoch, pos.offset, 1u << 20,
+                                      &segment, &stale)
+                    .is_ok());
+    ASSERT_FALSE(stale);
+    std::size_t consumed = 0;
+    ASSERT_TRUE(
+        standby.apply_wal_bytes(segment.data(), segment.size(), &consumed)
+            .is_ok());
+    ASSERT_EQ(consumed, segment.size());
+    pos.offset += segment.size();
+  };
+  std::uint64_t c = 0;
+  ASSERT_TRUE(primary.enroll(small_request(92), &c).is_ok());
+  sg = standby.liveness_generation();
+  ship();
+  EXPECT_TRUE(standby.active(c));
+  EXPECT_EQ(standby.liveness_generation(), sg) << "replicated enroll bumped";
+  ASSERT_TRUE(primary.revoke(b).is_ok());
+  ship();
+  EXPECT_FALSE(standby.active(b));
+  EXPECT_GT(standby.liveness_generation(), sg)
+      << "replicated revoke did not bump";
+}
+
+TEST(DeviceRegistry, DeviceCountAndWalPositionArePublishedOnEveryMutation) {
+  DeviceRegistry reg;
+  ASSERT_TRUE(reg.open(fresh_dir("published_position")).is_ok());
+  EXPECT_EQ(reg.device_count(), 0u);
+  const DeviceRegistry::WalPosition opened = reg.wal_position();
+  EXPECT_NE(opened.epoch, 0u);
+  EXPECT_EQ(opened.offset, 0u);
+  std::uint64_t id = 0;
+  ASSERT_TRUE(reg.enroll(small_request(93), &id).is_ok());
+  EXPECT_EQ(reg.device_count(), 1u);
+  const DeviceRegistry::WalPosition enrolled = reg.wal_position();
+  EXPECT_EQ(enrolled.epoch, opened.epoch);
+  EXPECT_GT(enrolled.offset, 0u);
+  ASSERT_TRUE(reg.revoke(id).is_ok());
+  EXPECT_GT(reg.wal_position().offset, enrolled.offset);
+  ASSERT_TRUE(reg.compact().is_ok());
+  const DeviceRegistry::WalPosition compacted = reg.wal_position();
+  EXPECT_NE(compacted.epoch, opened.epoch);
+  EXPECT_EQ(compacted.offset, 0u);
+  EXPECT_EQ(reg.device_count(), 1u);  // revoked devices are still listed
+}
+
+TEST(HydrationCache, PeekServesOnlyResidentDevicesAtTheCurrentGeneration) {
+  DeviceRegistry reg;
+  ASSERT_TRUE(reg.open(fresh_dir("hydration_peek")).is_ok());
+  std::uint64_t a = 0, b = 0;
+  ASSERT_TRUE(reg.enroll(small_request(94), &a).is_ok());
+  ASSERT_TRUE(reg.enroll(small_request(95), &b).is_ok());
+  HydrationCache cache(reg, {});
+
+  EXPECT_EQ(cache.peek(a), nullptr);  // never loads
+  EXPECT_EQ(cache.stats().misses, 0u);
+  std::shared_ptr<const registry::HydratedDevice> dev;
+  ASSERT_TRUE(cache.get(a, &dev).is_ok());
+  ASSERT_NE(cache.peek(a), nullptr);
+  EXPECT_EQ(cache.peek(a)->id, a);
+
+  // An enroll leaves resident entries current.
+  std::uint64_t c = 0;
+  ASSERT_TRUE(reg.enroll(small_request(96), &c).is_ok());
+  EXPECT_NE(cache.peek(a), nullptr);
+
+  // A revoke of ANOTHER device makes every entry stale for peek; get()
+  // re-checks the registry and re-stamps the entry.
+  ASSERT_TRUE(reg.revoke(b).is_ok());
+  EXPECT_EQ(cache.peek(a), nullptr);
+  ASSERT_TRUE(cache.get(a, &dev).is_ok());
+  EXPECT_NE(cache.peek(a), nullptr);
+
+  // A revoked device is never peeked, resident or not.
+  ASSERT_TRUE(reg.revoke(a).is_ok());
+  EXPECT_EQ(cache.peek(a), nullptr);
+  EXPECT_EQ(cache.get(a, &dev).code(), StatusCode::kNotFound);
+  EXPECT_EQ(cache.peek(a), nullptr);
+}
+
+TEST(HydrationCache, ConcurrentPeeksAndGetsNeverServeARevokedDevice) {
+  DeviceRegistry reg;
+  ASSERT_TRUE(reg.open(fresh_dir("hydration_peek_race")).is_ok());
+  constexpr int kDevices = 4;
+  std::uint64_t ids[kDevices] = {};
+  for (int i = 0; i < kDevices; ++i)
+    ASSERT_TRUE(reg.enroll(small_request(100 + i), &ids[i]).is_ok());
+  HydrationCache cache(reg, {});
+  std::atomic<bool> stop{false};
+  std::atomic<int> served_after_revoke{0};
+  std::atomic<bool> revoked[kDevices] = {};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::shared_ptr<const registry::HydratedDevice> dev;
+      for (int n = 0; !stop.load(); ++n) {
+        const int i = (n + t) % kDevices;
+        // Sampled before the read: a read that starts after the revoke
+        // returned must refuse the device.
+        const bool was_revoked = revoked[i].load();
+        const bool ok = (n % 2 == 0) ? cache.peek(ids[i]) != nullptr
+                                     : cache.get(ids[i], &dev).is_ok();
+        if (ok && was_revoked) served_after_revoke.fetch_add(1);
+      }
+    });
+  }
+  for (int i = 0; i < kDevices; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(reg.revoke(ids[i]).is_ok());
+    revoked[i].store(true);
+    std::uint64_t id = 0;
+    ASSERT_TRUE(reg.enroll(small_request(110 + i), &id).is_ok());
+  }
+  stop.store(true);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(served_after_revoke.load(), 0);
 }
 
 }  // namespace

@@ -46,6 +46,7 @@
 #include "registry/device_registry.hpp"
 #include "registry/hydration_cache.hpp"
 #include "util/rng.hpp"
+#include "test_dirs.hpp"
 
 namespace ppuf {
 namespace {
@@ -386,11 +387,8 @@ TEST(SparseDenseDifferential, SingularNetlistReturnsTypedNonConvergence) {
 // silicon, and cached replies (fill pass and hit pass) must be bit- and
 // flow-exact with the uncached solve.
 TEST(SparseDenseDifferential, HydratedRegistryModelMatchesDenseOracle) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "sdd_registry";
-  std::filesystem::remove_all(dir);
   registry::DeviceRegistry reg;
-  ASSERT_TRUE(reg.open(dir.string()).is_ok());
+  ASSERT_TRUE(reg.open(test::fresh_dir("sdd_registry")).is_ok());
 
   constexpr std::uint64_t kFabSeed = 8642;
   registry::EnrollRequest req;
