@@ -1,9 +1,6 @@
 #include "circuit/dc.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -16,18 +13,6 @@
 #include "util/fault_hooks.hpp"
 
 namespace ppuf::circuit {
-
-namespace {
-std::atomic<bool> g_default_dense_solver{false};
-}  // namespace
-
-bool default_dense_solver() {
-  return g_default_dense_solver.load(std::memory_order_relaxed);
-}
-
-void set_default_dense_solver(bool dense) {
-  g_default_dense_solver.store(dense, std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -241,11 +226,6 @@ OperatingPoint run_newton(const Netlist& netlist, const DcOptions& options,
     for (std::size_t i = 0; i < nv; ++i)
       x_trial[i] = std::clamp(x_trial[i], -kVoltageClamp, kVoltageClamp);
     x = x_trial;
-
-    if (std::getenv("PPUF_NEWTON_TRACE") != nullptr) {
-      std::fprintf(stderr, "iter %d resid=%.3e max_dv=%.3e scale=%.3e\n",
-                   iter, node_residual, max_dv, scale);
-    }
 
     if (!std::isfinite(x[0])) {
       // Diverged.  Report an infinite residual instead of throwing so the

@@ -6,11 +6,9 @@
 // assembly + Gilbert–Peierls LU with a shared symbolic analysis; see
 // mna.hpp and numeric/sparse_lu.hpp).  The original dense path is kept
 // behind DcOptions::use_dense_solver as the differential-testing oracle;
-// set_default_dense_solver() forces it process-wide for code paths that
-// build their own DcOptions.
-//
-// Debugging: set the environment variable PPUF_NEWTON_TRACE=1 to stream a
-// per-iteration residual/step trace to stderr.
+// code that builds its own DcOptions (block characterisation) takes the
+// choice from its owner (MaxFlowPpuf::set_dense_solver).  Per-rung Newton
+// iteration counts are reported in OperatingPoint::diagnostics.
 #pragma once
 
 #include <memory>
@@ -24,14 +22,6 @@ namespace ppuf::circuit {
 
 class SymbolicCache;     // circuit/mna.hpp
 struct MnaStructure;     // circuit/mna.hpp
-
-/// Process-wide default for DcOptions::use_dense_solver (false unless
-/// overridden).  Tests and benches flip it to run entire subsystems —
-/// including code that constructs its own DcOptions internally — through
-/// the dense oracle.  Not synchronised: set it before spawning solver
-/// threads.
-bool default_dense_solver();
-void set_default_dense_solver(bool dense);
 
 struct DcOptions {
   int max_iterations = 200;
@@ -48,7 +38,7 @@ struct DcOptions {
   bool enable_recovery = true;
   /// Solve the Newton linear systems with the dense LU oracle instead of
   /// the sparse default.  Differential tests diff the two paths bit-level.
-  bool use_dense_solver = default_dense_solver();
+  bool use_dense_solver = false;
   /// Optional shared cache of topology structures (pattern + symbolic
   /// analysis), so same-topology netlists — e.g. every block of a device —
   /// analyse once.  Null means per-solver caching only.

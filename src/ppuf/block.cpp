@@ -95,11 +95,11 @@ SweepCircuit build_stage_test(const PpufParams& params, BlockDesign design,
   return sc;
 }
 
-void append_block(Netlist& nl, const PpufParams& params,
-                  const circuit::BlockVariation& variation, int input_bit,
-                  NodeId top, NodeId bottom, const Environment& env) {
+SweepCircuit build_block(const PpufParams& params,
+                         const circuit::BlockVariation& variation,
+                         int input_bit, const Environment& env) {
   if (input_bit != 0 && input_bit != 1)
-    throw std::invalid_argument("append_block: input bit must be 0 or 1");
+    throw std::invalid_argument("build_block: input bit must be 0 or 1");
   const double scale = env.vdd_scale;
   // Input 1: stage A gets the low control voltage and limits the current;
   // input 0: stage B limits (Requirement 3's complementary biasing).
@@ -109,6 +109,9 @@ void append_block(Netlist& nl, const PpufParams& params,
       (input_bit == 1 ? params.vgs_high() : params.vgs_low) * scale;
   const double v_b = params.vb * scale;
 
+  SweepCircuit sc;
+  Netlist& nl = sc.netlist;
+  const NodeId top = nl.add_node("top");
   const NodeId a = nl.add_node("a");
   const NodeId c = nl.add_node("c");      // between the two stages
   const NodeId b2 = nl.add_node("b2");    // bottom of stage B, anode of D2
@@ -118,16 +121,7 @@ void append_block(Netlist& nl, const PpufParams& params,
                          variation.dvth[1], variation.dr_rel[0], env);
   append_double_sd_stage(nl, params, c, b2, vgs_b, v_b, variation.dvth[2],
                          variation.dvth[3], variation.dr_rel[1], env);
-  nl.add_diode(b2, bottom, varied_diode(params, variation.dis_rel[1], env));
-}
-
-SweepCircuit build_block(const PpufParams& params,
-                         const circuit::BlockVariation& variation,
-                         int input_bit, const Environment& env) {
-  SweepCircuit sc;
-  Netlist& nl = sc.netlist;
-  const NodeId top = nl.add_node("top");
-  append_block(nl, params, variation, input_bit, top, kGround, env);
+  nl.add_diode(b2, kGround, varied_diode(params, variation.dis_rel[1], env));
   sc.sweep_source = nl.add_voltage_source(top, kGround, 0.0);
   return sc;
 }
@@ -174,7 +168,8 @@ std::vector<double> characterization_grid(const PpufParams& params) {
 BlockCurve characterize_block(
     const PpufParams& params, const circuit::BlockVariation& variation,
     int input_bit, const Environment& env,
-    std::shared_ptr<circuit::SymbolicCache> symbolic_cache) {
+    std::shared_ptr<circuit::SymbolicCache> symbolic_cache,
+    bool dense_solver) {
   SweepCircuit sc = build_block(params, variation, input_bit, env);
   const std::vector<double> grid = characterization_grid(params);
   std::vector<double> currents(grid.size(), 0.0);
@@ -186,6 +181,7 @@ BlockCurve characterize_block(
   circuit::DcOptions opts;
   opts.temperature_c = env.temperature_c;
   opts.symbolic_cache = std::move(symbolic_cache);
+  opts.use_dense_solver = dense_solver;
   circuit::DcSolver solver(sc.netlist, opts);
   const std::size_t zero_index = static_cast<std::size_t>(
       std::find(grid.begin(), grid.end(), 0.0) - grid.begin());

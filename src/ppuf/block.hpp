@@ -45,21 +45,12 @@ SweepCircuit build_stage_test(const PpufParams& params, BlockDesign design,
                               const circuit::BlockVariation* variation,
                               const circuit::Environment& env);
 
-/// Full two-stage building block of Fig. 2(d) for the given input bit.
+/// Full two-stage building block of Fig. 2(d) for the given input bit:
+/// diode, the two complementary kDoubleSd stages with their gate
+/// batteries, diode, conducting from the swept top terminal to ground.
 SweepCircuit build_block(const PpufParams& params,
                          const circuit::BlockVariation& variation,
                          int input_bit, const circuit::Environment& env);
-
-/// Instantiate the Fig. 2(d) block between two existing nodes of `nl`
-/// (conduction direction top -> bottom): diode, the two complementary
-/// kDoubleSd stages with their gate batteries, diode.  This is the flat
-/// transistor-level form used when a whole crossbar is assembled into one
-/// MNA system (device_netlist.hpp); build_block wraps it with a sweep
-/// source for stand-alone characterisation.
-void append_block(circuit::Netlist& nl, const PpufParams& params,
-                  const circuit::BlockVariation& variation, int input_bit,
-                  circuit::NodeId top, circuit::NodeId bottom,
-                  const circuit::Environment& env);
 
 /// Characterised block: a monotone compact I-V curve plus the saturation
 /// current used as the edge capacity in the public simulation model.
@@ -77,10 +68,13 @@ constexpr double kCapacityReferenceVoltage = 1.4;
 /// (block, input bit, environment).  `symbolic_cache` (optional) shares the
 /// MNA pattern + sparse-LU symbolic analysis across calls: every block of a
 /// device has the same netlist topology, so the whole device analyses once.
+/// `dense_solver` routes every Newton step through the dense LU oracle
+/// (DcOptions::use_dense_solver) for differential tests.
 BlockCurve characterize_block(
     const PpufParams& params, const circuit::BlockVariation& variation,
     int input_bit, const circuit::Environment& env,
-    std::shared_ptr<circuit::SymbolicCache> symbolic_cache = nullptr);
+    std::shared_ptr<circuit::SymbolicCache> symbolic_cache = nullptr,
+    bool dense_solver = false);
 
 /// I-V samples of a sweep circuit at the given voltages (exposed for the
 /// Fig. 3 bench and tests).

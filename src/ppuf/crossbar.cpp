@@ -47,7 +47,7 @@ void CrossbarNetwork::prepare(const circuit::Environment& env,
     for (int bit = 0; bit < 2; ++bit) {
       curves_[e][bit] =
           characterize_block(params_, variation_[e], bit, env,
-                             symbolic_cache_);
+                             symbolic_cache_, dense_solver_);
     }
   };
   // Edge 0 runs first on the calling thread, as in the serial order: on a

@@ -59,6 +59,14 @@ class CrossbarNetwork {
     return symbolic_cache_;
   }
 
+  /// Characterise blocks through the dense LU oracle instead of the sparse
+  /// core (differential tests).  A change discards the characterisation,
+  /// so the next prepare() re-runs it through the chosen core.
+  void set_dense_solver(bool dense) {
+    if (dense != dense_solver_) prepared_ = false;
+    dense_solver_ = dense;
+  }
+
   /// Opt in to warm-starting the network Newton solve from the previous
   /// converged execution (chained-auth acceleration).  Off by default:
   /// cold starts make execute() bitwise repeatable, which tests and the
@@ -112,6 +120,7 @@ class CrossbarNetwork {
   bool prepared_ = false;
   std::unique_ptr<NetworkSolver> solver_;
   std::shared_ptr<circuit::SymbolicCache> symbolic_cache_;
+  bool dense_solver_ = false;
   bool warm_start_enabled_ = false;
   bool have_last_solution_ = false;
   numeric::Vector last_solution_;  ///< node voltages of last converged solve

@@ -65,6 +65,14 @@ class MaxFlowPpuf {
   }
   bool warm_start_enabled() const { return network_a_.warm_start_enabled(); }
 
+  /// Characterise both networks' blocks through the dense LU oracle
+  /// instead of the sparse core: the differential tests' per-device
+  /// switch.  Not part of the published model.
+  void set_dense_solver(bool dense) {
+    network_a_.set_dense_solver(dense);
+    network_b_.set_dense_solver(dense);
+  }
+
   /// The per-device symbolic cache shared by both networks' block
   /// characterisations (one MNA pattern + sparse-LU analysis per device).
   const std::shared_ptr<circuit::SymbolicCache>& symbolic_cache() const {

@@ -261,7 +261,7 @@ std::vector<SimulationModel::Prediction> SimulationModel::predict_batch(
     }
   };
 
-  if (options.pool == nullptr && options.thread_count <= 1) {
+  if (options.pool == nullptr) {
     util::StopCheck stop(options.control, /*stride=*/1);
     for (std::size_t i = 0; i < challenges.size(); ++i) {
       if (stop.should_stop()) {
@@ -273,24 +273,16 @@ std::vector<SimulationModel::Prediction> SimulationModel::predict_batch(
     return results;
   }
 
-  auto run_all = [&](util::ThreadPool& pool) {
-    pool.parallel_for(
-        challenges.size(),
-        [&](std::size_t i, const util::Status& stop) {
-          if (!stop.is_ok()) {
-            results[i].status = stop;
-            return;
-          }
-          run_item(i);
-        },
-        options.control);
-  };
-  if (options.pool != nullptr) {
-    run_all(*options.pool);
-  } else {
-    util::ThreadPool pool(options.thread_count);
-    run_all(pool);
-  }
+  options.pool->parallel_for(
+      challenges.size(),
+      [&](std::size_t i, const util::Status& stop) {
+        if (!stop.is_ok()) {
+          results[i].status = stop;
+          return;
+        }
+        run_item(i);
+      },
+      options.control);
   return results;
 }
 

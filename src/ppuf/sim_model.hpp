@@ -107,9 +107,8 @@ class SimulationModel {
                      const util::SolveControl& control = {}) const;
 
   struct PredictBatchOptions {
-    /// Workers for the transient pool when `pool` is null.
-    unsigned thread_count = 1;
-    /// Optional shared pool (non-owning); preferred for services.
+    /// Optional pool (non-owning) the batch fans out across; null runs it
+    /// serially on the calling thread.
     util::ThreadPool* pool = nullptr;
     /// Shared budget: once it fires, remaining items carry the typed
     /// status without being attempted.

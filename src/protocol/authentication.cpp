@@ -133,13 +133,10 @@ std::vector<AuthenticationResult> Verifier::verify_batch(
     results[i] = verify(challenges[i], reports[i]);
   };
 
-  if (options.pool == nullptr && options.thread_count <= 1) {
+  if (options.pool == nullptr) {
     for (std::size_t i = 0; i < challenges.size(); ++i) run_item(i);
-  } else if (options.pool != nullptr) {
-    options.pool->parallel_for(challenges.size(), run_item);
   } else {
-    util::ThreadPool pool(options.thread_count);
-    pool.parallel_for(challenges.size(), run_item);
+    options.pool->parallel_for(challenges.size(), run_item);
   }
 
   if (reg.enabled()) {

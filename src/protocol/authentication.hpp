@@ -65,11 +65,9 @@ class Verifier {
                               const ProverReport& report) const;
 
   struct BatchVerifyOptions {
-    /// Workers for the transient pool when `pool` is null; 0 or 1 runs
-    /// the batch serially on the calling thread.
-    unsigned thread_count = 0;
-    /// Optional shared pool (non-owning).  A verifier serving heavy
-    /// authentication traffic should hold one pool for its lifetime.
+    /// Optional shared pool (non-owning); null runs the batch serially on
+    /// the calling thread.  A verifier serving heavy authentication
+    /// traffic should hold one pool for its lifetime.
     util::ThreadPool* pool = nullptr;
   };
 

@@ -708,7 +708,6 @@ void AuthServer::Impl::run_batch(std::uint64_t device_id,
       }
     }
     if (!predicted.empty()) {
-      popts.thread_count = 1;  // inline: this IS a pool worker already
       popts.cache = response_cache ? &*response_cache : nullptr;
       popts.cache_device_id = device_id;
       const std::vector<SimulationModel::Prediction> preds =
@@ -742,10 +741,8 @@ void AuthServer::Impl::run_batch(std::uint64_t device_id,
       vr.push_back(std::move(slot.report));
     }
     if (!vc.empty()) {
-      protocol::Verifier::BatchVerifyOptions vopts;
-      vopts.thread_count = 1;  // inline on this worker
       const std::vector<protocol::AuthenticationResult> results =
-          ctx->device->verify_batch(vc, vr, vopts);
+          ctx->device->verify_batch(vc, vr, {});
       for (std::size_t k = 0; k < verified.size(); ++k) {
         const Frame& frame = items[verified[k]].frame;
         replies[verified[k]] = net::encode_frame(

@@ -79,7 +79,6 @@ TEST_F(BatchConcurrencyTest, PredictBatchIdenticalAcrossThreadCounts) {
   const std::vector<Challenge> batch = challenges_with_repeats(32, 7);
 
   SimulationModel::PredictBatchOptions serial;
-  serial.thread_count = 1;
   EXPECT_TRUE(model_->predict_batch({}, serial).empty());
   const auto baseline = model_->predict_batch(batch, serial);
   for (const auto& p : baseline) ASSERT_TRUE(p.ok());
@@ -134,10 +133,14 @@ TEST_F(BatchConcurrencyTest, PredictBatchIdenticalWithAndWithoutCache) {
 
 TEST_F(BatchConcurrencyTest, ExpiredControlMarksEveryItemIdentically) {
   const std::vector<Challenge> batch = challenges_with_repeats(16, 19);
+  // Serial on the calling thread, then fanned out across four workers.
+  util::ThreadPool four(4);
+  const std::vector<util::ThreadPool*> pools{nullptr, &four};
 
-  for (const unsigned threads : {1u, 4u}) {
+  for (util::ThreadPool* pool : pools) {
+    const unsigned threads = pool == nullptr ? 1 : pool->thread_count();
     SimulationModel::PredictBatchOptions options;
-    options.thread_count = threads;
+    options.pool = pool;
     options.control.deadline = util::Deadline::after_seconds(0.0);
     const auto results = model_->predict_batch(batch, options);
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -149,9 +152,10 @@ TEST_F(BatchConcurrencyTest, ExpiredControlMarksEveryItemIdentically) {
 
   util::CancelToken cancel;
   cancel.request_cancel();
-  for (const unsigned threads : {1u, 4u}) {
+  for (util::ThreadPool* pool : pools) {
+    const unsigned threads = pool == nullptr ? 1 : pool->thread_count();
     SimulationModel::PredictBatchOptions options;
-    options.thread_count = threads;
+    options.pool = pool;
     options.control.cancel = &cancel;
     const auto results = model_->predict_batch(batch, options);
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -169,12 +173,14 @@ TEST_F(BatchConcurrencyTest, PerItemDeadlineExpiresOneItemNotItsMates) {
   const std::vector<Challenge> batch = challenges_with_repeats(6, 23);
 
   SimulationModel::PredictBatchOptions plain;
-  plain.thread_count = 1;
   const auto want = model_->predict_batch(batch, plain);
 
-  for (const unsigned threads : {1u, 4u}) {
+  util::ThreadPool four(4);
+  const std::vector<util::ThreadPool*> pools{nullptr, &four};
+  for (util::ThreadPool* pool : pools) {
+    const unsigned threads = pool == nullptr ? 1 : pool->thread_count();
     SimulationModel::PredictBatchOptions options;
-    options.thread_count = threads;
+    options.pool = pool;
     options.deadlines.assign(batch.size(), util::Deadline());
     options.deadlines[2] = util::Deadline::after_seconds(0.0);  // expired
     const auto results = model_->predict_batch(batch, options);
@@ -266,7 +272,7 @@ TEST_F(BatchConcurrencyTest, SharedPoolServesConcurrentBatchFronts) {
 TEST_F(BatchConcurrencyTest, FlatKernelScratchIsPerThread) {
   // predict and verify both run on the calling thread's reusable K_n
   // scratch.  A predict_batch on a shared pool racing a verify_batch on
-  // four transient workers must still give every item its serial answer.
+  // a second four-worker pool must still give every item its serial answer.
   const std::vector<Challenge> batch = challenges_with_repeats(24, 31);
   const protocol::Verifier verifier(*model_, /*deadline_seconds=*/1e9,
                                     0.1 * model_->mean_capacity());
@@ -292,8 +298,9 @@ TEST_F(BatchConcurrencyTest, FlatKernelScratchIsPerThread) {
   util::ThreadPool pool(4);
   SimulationModel::PredictBatchOptions pooled;
   pooled.pool = &pool;
+  util::ThreadPool verify_pool(4);
   protocol::Verifier::BatchVerifyOptions four;
-  four.thread_count = 4;
+  four.pool = &verify_pool;
   for (int round = 0; round < 3; ++round) {
     std::vector<protocol::AuthenticationResult> concurrent;
     std::thread verify_front(

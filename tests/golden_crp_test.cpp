@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/dc.hpp"
 #include "ppuf/ppuf.hpp"
 #include "ppuf/sim_model.hpp"
 #include "util/rng.hpp"
@@ -134,12 +133,14 @@ std::string bits_to_string(const Challenge& c) {
   return s;
 }
 
-/// Recompute the full golden record from the fixed seeds.
-std::vector<GoldenCrp> compute_current() {
+/// Recompute the full golden record from the fixed seeds, characterising
+/// the instance through the sparse core or the dense LU oracle.
+std::vector<GoldenCrp> compute_current(bool dense_solver = false) {
   PpufParams params;
   params.node_count = kNodeCount;
   params.grid_size = kGridSize;
   MaxFlowPpuf puf(params, kFabricationSeed);
+  puf.set_dense_solver(dense_solver);
   SimulationModel model(puf);
   util::Rng rng(kChallengeSeed);
 
@@ -235,15 +236,7 @@ TEST(GoldenCrp, DenseOracleReproducesGoldenCorpusBitForBit) {
   // whole corpus through the dense oracle and demand identical response
   // bits (and solver-tolerance flows) against the sparse recomputation.
   const std::vector<GoldenCrp> sparse = compute_current();
-  std::vector<GoldenCrp> dense;
-  circuit::set_default_dense_solver(true);
-  try {
-    dense = compute_current();
-  } catch (...) {
-    circuit::set_default_dense_solver(false);
-    throw;
-  }
-  circuit::set_default_dense_solver(false);
+  const std::vector<GoldenCrp> dense = compute_current(/*dense_solver=*/true);
 
   ASSERT_EQ(sparse.size(), dense.size());
   for (std::size_t i = 0; i < sparse.size(); ++i) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "protocol/authentication.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ppuf::protocol {
 namespace {
@@ -168,8 +169,9 @@ TEST_F(ProtocolFixture, ParallelVerificationAgrees) {
     challenges.push_back(verifier.issue_challenge(rng));
     reports.push_back(prove_with_ppuf(*puf, challenges.back(), 1e-6));
   }
+  util::ThreadPool pool(4);
   Verifier::BatchVerifyOptions four;
-  four.thread_count = 4;
+  four.pool = &pool;
   const auto parallel = verifier.verify_batch(challenges, reports, four);
   ASSERT_EQ(parallel.size(), challenges.size());
   for (std::size_t i = 0; i < challenges.size(); ++i) {

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,15 +49,6 @@
 
 namespace ppuf {
 namespace {
-
-/// Flip the process-wide solver default for one scope (exception-safe):
-/// code that builds its own DcOptions internally — block characterisation
-/// in particular — follows this flag.
-class DenseOracleScope {
- public:
-  DenseOracleScope() { circuit::set_default_dense_solver(true); }
-  ~DenseOracleScope() { circuit::set_default_dense_solver(false); }
-};
 
 /// Seeded random netlist mixing every stampable device kind.  A resistor
 /// spine keeps the circuit connected; diodes, a MOSFET, and a current
@@ -180,11 +170,13 @@ TEST(SparseDenseDifferential, SharedCacheNetlistsMatchUncachedSparse) {
 // --- whole-device bit-level agreement -------------------------------------
 
 std::vector<MaxFlowPpuf::Evaluation> device_evaluations(
-    std::uint64_t fab_seed, std::uint64_t challenge_seed, std::size_t count) {
+    std::uint64_t fab_seed, std::uint64_t challenge_seed, std::size_t count,
+    bool dense_solver) {
   PpufParams params;
   params.node_count = 6;
   params.grid_size = 4;
   MaxFlowPpuf puf(params, fab_seed);
+  puf.set_dense_solver(dense_solver);
   util::Rng rng(challenge_seed);
   std::vector<MaxFlowPpuf::Evaluation> out;
   for (std::size_t i = 0; i < count; ++i)
@@ -201,12 +193,8 @@ TEST(SparseDenseDifferential, DeviceResponseBitsIdenticalAcrossPaths) {
   constexpr std::uint64_t kChal = 42;
   constexpr std::size_t kCount = 16;
 
-  const auto sparse = device_evaluations(kFab, kChal, kCount);
-  std::vector<MaxFlowPpuf::Evaluation> dense;
-  {
-    DenseOracleScope oracle;
-    dense = device_evaluations(kFab, kChal, kCount);
-  }
+  const auto sparse = device_evaluations(kFab, kChal, kCount, false);
+  const auto dense = device_evaluations(kFab, kChal, kCount, true);
   ASSERT_EQ(sparse.size(), dense.size());
   for (std::size_t i = 0; i < kCount; ++i) {
     ASSERT_TRUE(sparse[i].converged) << "crp " << i;
@@ -403,15 +391,12 @@ TEST(SparseDenseDifferential, HydratedRegistryModelMatchesDenseOracle) {
 
   // Dense oracle: re-fabricate the same silicon and characterise every
   // block through the dense LU.
-  std::optional<SimulationModel> oracle;
-  {
-    DenseOracleScope dense;
-    PpufParams params;
-    params.node_count = 6;
-    params.grid_size = 4;
-    MaxFlowPpuf chip(params, kFabSeed);
-    oracle.emplace(chip);
-  }
+  PpufParams params;
+  params.node_count = 6;
+  params.grid_size = 4;
+  MaxFlowPpuf chip(params, kFabSeed);
+  chip.set_dense_solver(true);
+  const SimulationModel oracle(chip);
 
   // Serving path: hydrate through the cache and answer through the
   // device's predict_batch, the call the server's coalesced path makes,
@@ -440,7 +425,7 @@ TEST(SparseDenseDifferential, HydratedRegistryModelMatchesDenseOracle) {
   ASSERT_EQ(cold.size(), challenges.size());
   for (std::size_t i = 0; i < challenges.size(); ++i) {
     ASSERT_TRUE(cold[i].ok()) << "challenge " << i;
-    const SimulationModel::Prediction want = oracle->predict(challenges[i]);
+    const SimulationModel::Prediction want = oracle.predict(challenges[i]);
     ASSERT_TRUE(want.ok()) << "challenge " << i;
     // Sparse-enrolled, hydration-served bits equal the dense oracle's;
     // flows agree within solver tolerance.
